@@ -14,6 +14,7 @@ from .laurent import (
     symmetrize_tail,
 )
 from .partitions import (
+    InvariantError,
     enumerate_dp,
     enumerate_dp_h,
     enumerate_dpr_h,
@@ -72,7 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LaurentPoly", "ExactDivisionError", "q_integer", "q_factorial",
-    "symmetrize_tail",
+    "symmetrize_tail", "InvariantError",
     "enumerate_dp", "enumerate_dp_h", "enumerate_dpr_h", "residue",
     "residue_content", "ladders", "hbar_core", "dominance_leq",
     "shift_by_multiple", "a_h", "b_exponent",

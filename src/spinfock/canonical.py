@@ -9,13 +9,23 @@ lex-greater canonical label s in the same residue-content block and in
 increasing lex order, symmetrize_tail(coefficient at s) times G(s).  Each
 coefficient at a canonical label is touched exactly once, and the final
 column must be unitriangular with every off-diagonal entry in qZ[q].
+
+The fast route applies f_i^(k) label by label and memoises each image
+f_i^(k)|lam> for one degree only.  A key (i, k, lam) with |lam| = m - k
+yields degree-m vectors, so it never recurs in another degree; a memo
+kept for the solver's lifetime would only hold dead entries and push the
+peak resident set up.  Each column is built in one mutable accumulator
+(laurent.PolyAccumulator) that takes both the intermediate vector's
+linear combination and every scale-and-subtract of the reduction, and is
+frozen into a FockVector once, before the column is validated.  Residue
+contents are cached per label for the solver's lifetime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .laurent import LaurentPoly, symmetrize_tail
+from .laurent import LaurentPoly, ONE, PolyAccumulator, symmetrize_tail
 from .fock import FockVector, apply_f_divided
 from . import partitions as pt
 
@@ -65,7 +75,9 @@ class BasisMatrix:
     columns: dict = field(compare=False)
 
     def __post_init__(self):
-        assert set(self.labels) == set(self.columns)
+        if set(self.labels) != set(self.columns):
+            raise ValueError(f"basis matrix h={self.h} m={self.m}: labels "
+                             f"and column keys differ")
 
     def row_labels(self) -> list:
         return pt.enumerate_dp_h(self.h, self.m)
@@ -142,6 +154,7 @@ class CanonicalBasis:
         self.h = h
         self.fast = fast
         self._columns = {(): FockVector.basis(())}
+        self._contents = {}             # label -> residue content
         self._matrices = {0: BasisMatrix(h, 0, ((),), {(): FockVector.basis(())})}
 
     def column(self, mu) -> FockVector:
@@ -161,32 +174,55 @@ class CanonicalBasis:
                     self._matrices[d] = self._solve_degree(d)
         return self._matrices[m]
 
-    def _intermediate(self, mu) -> FockVector:
-        if self.fast:
-            nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
-            return apply_f_divided(self.h, res, cnt, self.column(nu))
-        return a_vector(self.h, mu)
+    def _residue_content(self, lam) -> tuple:
+        content = self._contents.get(lam)
+        if content is None:
+            content = self._contents[lam] = pt.residue_content(self.h, lam)
+        return content
+
+    def _intermediate(self, mu, memo) -> PolyAccumulator:
+        """A(mu) in a fresh column accumulator.
+
+        The fast route applies f_res^(cnt) label by label to the column of
+        the stripped label, taking each f_res^(cnt)|lam> from `memo`, the
+        current degree's table, or computing it there once.  The slow route
+        never reads `memo`.
+        """
+        acc = PolyAccumulator()
+        if not self.fast:
+            acc.add_scaled(ONE, a_vector(self.h, mu).terms())
+            return acc
+        nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
+        for lam, c in self.column(nu).terms():
+            key = (res, cnt, lam)
+            image = memo.get(key)
+            if image is None:
+                image = memo[key] = apply_f_divided(
+                    self.h, res, cnt, FockVector.basis(lam))
+            acc.add_scaled(c, image.terms())
+        return acc
 
     def _solve_degree(self, m: int) -> BasisMatrix:
-        h = self.h
-        labels = tuple(pt.enumerate_dpr_h(h, m))
-        content = {mu: pt.residue_content(h, mu) for mu in labels}
+        labels = tuple(pt.enumerate_dpr_h(self.h, m))
+        memo = {}                               # dropped with this degree
+        blocks = {}                             # content -> labels done
         done = {}
         for mu in labels:                       # decreasing lex
-            vec = self._intermediate(mu)
-            higher = [s for s in reversed(labels)
-                      if s > mu and content[s] == content[mu]]
-            for s in higher:                    # increasing lex
-                gamma = symmetrize_tail(vec.coefficient(s))
+            content = self._residue_content(mu)
+            block = blocks.setdefault(content, [])
+            acc = self._intermediate(mu, memo)
+            for s in reversed(block):           # lex-greater, increasing lex
+                gamma = symmetrize_tail(acc.coefficient(s))
                 if gamma:
-                    vec = vec - done[s].scaled(gamma)
-            self._validate_column(mu, vec, content[mu])
+                    acc.add_scaled(-gamma, done[s].terms())
+            vec = FockVector(acc.freeze())
+            self._validate_column(mu, vec, content)
+            block.append(mu)
             done[mu] = vec
             self._columns[mu] = vec
-        return BasisMatrix(h, m, labels, done)
+        return BasisMatrix(self.h, m, labels, done)
 
     def _validate_column(self, mu, vec, mu_content):
-        h = self.h
         diag = vec.coefficient(mu)
         if diag != LaurentPoly.one():
             raise CanonicalBasisError(f"column {mu}: diagonal entry is {diag}")
@@ -200,7 +236,7 @@ class CanonicalBasis:
             if not pt.dominance_leq(mu, lam):
                 raise CanonicalBasisError(
                     f"column {mu}: support label {lam} does not dominate it")
-            if pt.residue_content(h, lam) != mu_content:
+            if self._residue_content(lam) != mu_content:
                 raise CanonicalBasisError(
                     f"column {mu}: support label {lam} lies in another block")
 

@@ -1,8 +1,11 @@
 """Command-line surface: crystal, canonical, decomp, ladders, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-deterministic; --jobs (or SPINFOCK_JOBS) is accepted for interface
-stability and bounds worker width, which never affects results.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (a broken engine invariant: a canonical column failing its checks, an
+inexact divided power, an unstraightenable wedge word or an inconsistent
+ladder or crystal string).  Output is deterministic; --jobs (or
+SPINFOCK_JOBS) is accepted for interface stability and bounds worker
+width, which never affects results.
 """
 
 from __future__ import annotations
@@ -16,9 +19,14 @@ from . import partitions as pt
 from . import crystal
 from . import modular
 from . import verify as vf
-from .canonical import CanonicalBasis
+from .canonical import CanonicalBasis, CanonicalBasisError
+from .fock import UncoveredDisorderError
+from .laurent import ExactDivisionError
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
+_INTERNAL_ERRORS = (CanonicalBasisError, ExactDivisionError,
+                    UncoveredDisorderError, pt.InvariantError)
 
 
 def _add_modulus_args(parser):
@@ -198,6 +206,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except _INTERNAL_ERRORS as exc:
+        where = ""
+        if args.command in ("canonical", "decomp"):
+            where = f" at h={_modulus(args)} m={args.m}"
+        print(f"internal error{where}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ def phi_aff(h: int, i: int, j: int) -> int:
     count = 0
     while _has_arrow(h, n, i, j + count):
         count += 1
-        assert count <= h, "i-strings are shorter than h"
+        if count > h:
+            raise pt.InvariantError(
+                f"{i}-string through {j} is longer than h={h}")
     return count
 
 
@@ -39,7 +41,9 @@ def eps_aff(h: int, i: int, j: int) -> int:
     count = 0
     while _has_arrow(h, n, i, j - 1 - count):
         count += 1
-        assert count <= h, "i-strings are shorter than h"
+        if count > h:
+            raise pt.InvariantError(
+                f"{i}-string through {j} is longer than h={h}")
     return count
 
 

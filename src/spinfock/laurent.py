@@ -210,6 +210,52 @@ class LaurentPoly:
         return f"LaurentPoly({{{items}}})"
 
 
+class PolyAccumulator:
+    """Mutable map {key: Laurent polynomial} that sums products in place.
+
+    While terms are added the coefficients stay raw {exponent: int} maps,
+    so a long run of multiply-adds allocates no LaurentPoly; zeros are
+    pruned only when a coefficient is read or the map is frozen.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __init__(self):
+        self._raw = {}
+
+    def add_scaled(self, scalar: LaurentPoly, terms) -> None:
+        """self[key] += scalar * poly for every (key, poly) in terms."""
+        raw = self._raw
+        sc = scalar._c.items()
+        for key, poly in terms:
+            c = raw.get(key)
+            if c is None:
+                c = raw[key] = {}
+            for e2, a2 in poly._c.items():
+                for e1, a1 in sc:
+                    e = e1 + e2
+                    c[e] = c.get(e, 0) + a1 * a2
+
+    def coefficient(self, key) -> LaurentPoly:
+        c = self._raw.get(key)
+        return _pruned(c) if c else ZERO
+
+    def freeze(self) -> dict:
+        """{key: LaurentPoly} with zero coefficients dropped."""
+        out = {}
+        for key, c in self._raw.items():
+            poly = _pruned(c)
+            if poly:
+                out[key] = poly
+        return out
+
+
+def _pruned(raw: dict) -> LaurentPoly:
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = {e: a for e, a in raw.items() if a}
+    return out
+
+
 def _coerce(x):
     if isinstance(x, LaurentPoly):
         return x

@@ -11,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class InvariantError(RuntimeError):
+    """An internal combinatorial invariant broke; never caused by input."""
+
+
 def check_h(h: int) -> int:
     if h < 3 or h % 2 == 0:
         raise ValueError(f"modulus h must be odd and >= 3, got {h}")
@@ -193,7 +197,10 @@ def ladders(h: int, lam) -> LadderDecomposition:
             res = residue(h, c)
             if idx in found:
                 prev_res, cnt = found[idx]
-                assert prev_res == res, (lam, idx)
+                if prev_res != res:
+                    raise InvariantError(
+                        f"ladder {idx} of {lam} mixes residues "
+                        f"{prev_res} and {res}")
                 found[idx] = (res, cnt + 1)
             else:
                 found[idx] = (res, 1)
@@ -334,7 +341,7 @@ def parse_partition(text: str) -> tuple:
     if s in ("", "()", "0"):
         return ()
     if "," in s:
-        return check_partition(int(x) for x in s.split(","))
+        return check_partition(tuple(int(x) for x in s.split(",")))
     digits = [int(ch) for ch in s]
     if 0 in digits or any(digits[i] < digits[i + 1] for i in range(len(digits) - 1)):
         return check_partition([int(s)])

@@ -119,13 +119,21 @@ class TestMatrixChecks:
         assert not rep.ok
         assert any(c.condition == "unit-diagonal" for c in rep.failures)
 
+    def test_labels_must_match_columns(self):
+        M = canonical_basis(3, 6)
+        missing = dict(M.columns)
+        del missing[M.labels[0]]
+        with pytest.raises(ValueError, match="h=3 m=6"):
+            BasisMatrix(3, 6, M.labels, missing)
+
 
 class TestFastSlow:
-    @pytest.mark.parametrize("h", [3, 5])
+    @pytest.mark.parametrize("h", [3, 5, 7, 9])
     def test_paths_agree(self, h):
+        # deep enough that the fast route reuses divided powers per degree
         fast = CanonicalBasis(h, fast=True)
         slow = CanonicalBasis(h, fast=False)
-        for m in range(0, 11):
+        for m in range(0, 23 if h == 3 else 21):
             assert fast.matrix(m) == slow.matrix(m)
 
 

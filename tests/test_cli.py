@@ -173,6 +173,28 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestInternalErrors:
+    @pytest.fixture
+    def broken_column_check(self, monkeypatch):
+        from spinfock.canonical import CanonicalBasis, CanonicalBasisError
+
+        def fail(self, mu, vec, mu_content):
+            raise CanonicalBasisError(f"column {mu}: injected")
+
+        monkeypatch.setattr(CanonicalBasis, "_validate_column", fail)
+
+    @pytest.mark.parametrize("argv", [
+        ("canonical", "--n", "1", "--m", "5"),
+        ("decomp", "--p", "3", "--m", "5"),
+    ])
+    def test_exit_code_3(self, capsys, broken_column_check, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "h=3 m=5" in err and "CanonicalBasisError" in err
+
+
 class TestDeterminism:
     def test_output_independent_of_jobs(self, capsys):
         _, out1, _ = run(capsys, "canonical", "--n", "1", "--m", "8",

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from spinfock.laurent import (
     LaurentPoly,
     ExactDivisionError,
+    PolyAccumulator,
     ZERO,
     ONE,
     q_integer,
@@ -149,6 +150,27 @@ class TestSymmetrizeTail:
         delta = pos + pos.bar()
         g = symmetrize_tail(c)
         assert not (c - (g + delta)).in_q_z_of_q()
+
+
+class TestPolyAccumulator:
+    @given(st.lists(st.tuples(polys, st.sampled_from("abc"), polys), max_size=6))
+    def test_matches_poly_arithmetic(self, products):
+        acc = PolyAccumulator()
+        expected = {}
+        for scalar, key, p in products:
+            acc.add_scaled(scalar, [(key, p)])
+            expected[key] = expected.get(key, ZERO) + scalar * p
+        for key in "abc":
+            assert acc.coefficient(key) == expected.get(key, ZERO)
+        assert acc.freeze() == {k: v for k, v in expected.items() if v}
+
+    def test_cancellation_is_pruned(self):
+        acc = PolyAccumulator()
+        p = poly({-1: 2, 3: 1})
+        acc.add_scaled(ONE, [("a", p), ("b", ONE)])
+        acc.add_scaled(-ONE, [("a", p)])
+        assert acc.coefficient("a") == ZERO
+        assert acc.freeze() == {"b": ONE}
 
 
 class TestEvalAndJson:

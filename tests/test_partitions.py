@@ -267,6 +267,10 @@ class TestParsing:
     def test_large_single(self):
         assert pt.parse_partition("10") == (10,)
 
+    def test_error_shows_typed_parts(self):
+        with pytest.raises(ValueError, match=r"decreasing: \(1, 2\)$"):
+            pt.parse_partition("1,2")
+
     def test_empty(self):
         assert pt.parse_partition("") == ()
         assert pt.parse_partition("()") == ()
