@@ -11,9 +11,8 @@ from spinfock.canonical import (
     a_vector,
     canonical_basis,
     check_basis_matrix,
-    ladder_monomial,
 )
-from spinfock.partitions import format_partition
+from spinfock.partitions import format_partition, ladders
 
 H = 3
 
@@ -21,7 +20,7 @@ H = 3
 mu = (3, 3, 2, 1)
 word = " ".join(
     f"f_{res}" + (f"^({cnt})" if cnt > 1 else "")
-    for res, cnt in reversed(ladder_monomial(H, mu)))
+    for res, cnt in reversed(ladders(H, mu).steps))
 print(f"A{format_partition(mu)} = {word} |0>")
 A = a_vector(H, mu)
 print(f"A{format_partition(mu)} = {A!r}\n")

@@ -35,7 +35,6 @@ from .fock import (
     apply_f,
     apply_e,
     apply_t,
-    apply_t_inv,
     apply_f_divided,
     weight,
     norm_squared,
@@ -54,7 +53,6 @@ from .canonical import (
     CanonicalBasis,
     CanonicalBasisError,
     a_vector,
-    a_vector_fast,
     canonical_basis,
     check_basis_matrix,
 )
@@ -78,12 +76,12 @@ __all__ = [
     "residue_content", "ladders", "hbar_core", "dominance_leq",
     "shift_by_multiple", "a_h", "b_exponent",
     "FockVector", "UncoveredDisorderError", "MixedWeightError",
-    "normal_order", "apply_f", "apply_e", "apply_t", "apply_t_inv",
+    "normal_order", "apply_f", "apply_e", "apply_t",
     "apply_f_divided", "weight", "norm_squared",
     "CrystalGraph", "ftilde", "etilde", "eps", "phi", "component",
     "highest_weight_vertices",
     "BasisMatrix", "CanonicalBasis", "CanonicalBasisError", "a_vector",
-    "a_vector_fast", "canonical_basis", "check_basis_matrix",
+    "canonical_basis", "check_basis_matrix",
     "ReducedMatrix", "character_image", "strip_two_power", "reduced_matrix",
     "parse_external_csv", "reduce_external_matrix",
     "count_consistency_report", "independence_report",

@@ -19,10 +19,18 @@ peak resident set up.  Each column is built in one mutable accumulator
 linear combination and every scale-and-subtract of the reduction, and is
 frozen into a FockVector once, before the column is validated.  Residue
 contents are cached per label for the solver's lifetime.
+
+One generator, column_failures, states the five column conditions: the
+solver raises on the first failure of each new column, check_basis_matrix
+reports every failure of a finished matrix.  render_table and render_csv
+also render modular.ReducedMatrix.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 from dataclasses import dataclass, field
 
 from .laurent import LaurentPoly, ONE, PolyAccumulator, symmetrize_tail
@@ -34,35 +42,43 @@ class CanonicalBasisError(RuntimeError):
     """A computed column violated triangularity, integrality or block purity."""
 
 
-def ladder_monomial(h: int, mu) -> tuple:
-    """(residue, count) word of the ladders of mu, first ladder first."""
-    return pt.ladders(h, mu).monomial()
-
-
 def a_vector(h: int, mu) -> FockVector:
     """Intermediate vector: the full ladder monomial applied to the vacuum."""
     mu = pt.check_partition(mu)
     if not pt.in_dpr_h(h, mu):
         raise ValueError(f"{mu} is not {h}-regular")
     v = FockVector.basis(())
-    for res, cnt in ladder_monomial(h, mu):
+    for res, cnt in pt.ladders(h, mu).steps:
         v = apply_f_divided(h, res, cnt, v)
     return v
 
 
-def a_vector_fast(h: int, mu, lower_columns) -> FockVector:
-    """Intermediate vector from one divided power on a known lower column.
+def render_table(M, row_name) -> str:
+    """Aligned text table of M; `row_name` formats the row labels."""
+    rows = M.row_labels()
+    names = [row_name(lam) for lam in rows]
+    heads = [pt.format_partition(mu) for mu in M.labels]
+    cells = [[str(M.entry(lam, mu)) for mu in M.labels] for lam in rows]
+    name_w = max(map(len, names), default=2)
+    widths = [max([len(heads[j])] + [len(row[j]) for row in cells])
+              for j in range(len(heads))]
+    lines = [" " * name_w + "  " +
+             "  ".join(hd.ljust(w) for hd, w in zip(heads, widths))]
+    for name, row in zip(names, cells):
+        lines.append(name.ljust(name_w) + "  " +
+                     "  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"
 
-    `lower_columns` maps labels to canonical vectors and must contain the
-    label obtained from mu by removing its outer ladder.
-    """
-    mu = pt.check_partition(mu)
-    if not mu:
-        return FockVector.basis(())
-    nu, res, cnt = pt.remove_outer_ladder(h, mu)
-    if nu not in lower_columns:
-        raise KeyError(f"canonical vector for stripped label {nu} not available")
-    return apply_f_divided(h, res, cnt, lower_columns[nu])
+
+def render_csv(M) -> str:
+    """The table of M as CSV, every label a formatted partition."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([""] + [pt.format_partition(mu) for mu in M.labels])
+    for lam in M.row_labels():
+        w.writerow([pt.format_partition(lam)] +
+                   [str(M.entry(lam, mu)) for mu in M.labels])
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -116,29 +132,10 @@ class BasisMatrix:
 
     def render_table(self) -> str:
         """Aligned text table: rows DP_h(m), columns DPR_h(m), decreasing lex."""
-        rows = self.row_labels()
-        heads = [pt.format_partition(mu) for mu in self.labels]
-        cells = [[str(self.entry(lam, mu)) for mu in self.labels] for lam in rows]
-        name_w = max((len(pt.format_partition(r)) for r in rows), default=2)
-        widths = [max([len(heads[j])] + [len(row[j]) for row in cells])
-                  for j in range(len(heads))]
-        lines = [" " * name_w + "  " +
-                 "  ".join(h.ljust(w) for h, w in zip(heads, widths))]
-        for lam, row in zip(rows, cells):
-            lines.append(pt.format_partition(lam).ljust(name_w) + "  " +
-                         "  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines) + "\n"
+        return render_table(self, pt.format_partition)
 
     def to_csv(self) -> str:
-        import csv
-        import io
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([""] + [pt.format_partition(mu) for mu in self.labels])
-        for lam in self.row_labels():
-            w.writerow([pt.format_partition(lam)] +
-                       [str(self.entry(lam, mu)) for mu in self.labels])
-        return buf.getvalue()
+        return render_csv(self)
 
 
 class CanonicalBasis:
@@ -216,29 +213,39 @@ class CanonicalBasis:
                 if gamma:
                     acc.add_scaled(-gamma, done[s].terms())
             vec = FockVector(acc.freeze())
-            self._validate_column(mu, vec, content)
+            self._validate_column(mu, vec, m)
             block.append(mu)
             done[mu] = vec
             self._columns[mu] = vec
         return BasisMatrix(self.h, m, labels, done)
 
-    def _validate_column(self, mu, vec, mu_content):
-        diag = vec.coefficient(mu)
-        if diag != LaurentPoly.one():
-            raise CanonicalBasisError(f"column {mu}: diagonal entry is {diag}")
-        for lam, poly in vec.terms():
-            if not poly.in_z_of_q():
-                raise CanonicalBasisError(
-                    f"column {mu}: entry at {lam} leaves Z[q]: {poly}")
-            if lam != mu and not poly.in_q_z_of_q():
-                raise CanonicalBasisError(
-                    f"column {mu}: off-diagonal entry at {lam} not in qZ[q]: {poly}")
-            if not pt.dominance_leq(mu, lam):
-                raise CanonicalBasisError(
-                    f"column {mu}: support label {lam} does not dominate it")
-            if self._residue_content(lam) != mu_content:
-                raise CanonicalBasisError(
-                    f"column {mu}: support label {lam} lies in another block")
+    def _validate_column(self, mu, vec, m):
+        """Raise CanonicalBasisError on the first failed column condition."""
+        for condition, witness in column_failures(mu, vec, m,
+                                                  self._residue_content):
+            raise CanonicalBasisError(f"column {mu}: {condition} ({witness})")
+
+
+def column_failures(mu, vec, m, content_of):
+    """Yield (condition, witness) for each failed condition of column mu.
+
+    Conditions: unit-diagonal; integral (entries in Z[q]); lattice-congruence
+    (off-diagonal entries in qZ[q]); triangular (support of degree m that
+    dominates mu); block-purity (one residue content, from `content_of`).
+    """
+    diag = vec.coefficient(mu)
+    if diag != ONE:
+        yield "unit-diagonal", str(diag)
+    mu_content = content_of(mu)
+    for lam, poly in vec.terms():
+        if not poly.in_z_of_q():
+            yield "integral", f"{lam}: {poly}"
+        if lam != mu and not poly.in_q_z_of_q():
+            yield "lattice-congruence", f"{lam}: {poly}"
+        if sum(lam) != m or not pt.dominance_leq(mu, lam):
+            yield "triangular", f"{lam}"
+        if content_of(lam) != mu_content:
+            yield "block-purity", f"{lam}"
 
 
 def canonical_basis(h: int, m: int, fast: bool = True) -> BasisMatrix:
@@ -269,29 +276,17 @@ class BasisMatrixReport:
 
 
 def check_basis_matrix(M: BasisMatrix) -> BasisMatrixReport:
-    """Re-verify integrality, unitriangularity and block purity of a matrix."""
+    """Re-verify the label set and every column condition of a matrix."""
     failures = []
-
-    def fail(mu, cond, witness):
-        failures.append(BasisCheck(mu, cond, witness))
-
     expected = tuple(pt.enumerate_dpr_h(M.h, M.m))
     if M.labels != expected:
-        fail((), "label-set", f"{M.labels} != DPR_{M.h}({M.m})")
+        failures.append(BasisCheck((), "label-set",
+                                   f"{M.labels} != DPR_{M.h}({M.m})"))
+    content_of = functools.partial(pt.residue_content, M.h)   # no solver cache
     for mu in M.labels:
-        col = M.columns[mu]
-        mu_content = pt.residue_content(M.h, mu)
-        if col.coefficient(mu) != LaurentPoly.one():
-            fail(mu, "unit-diagonal", str(col.coefficient(mu)))
-        for lam, poly in col.terms():
-            if not poly.in_z_of_q():
-                fail(mu, "integral", f"{lam}: {poly}")
-            if lam != mu and not poly.in_q_z_of_q():
-                fail(mu, "lattice-congruence", f"{lam}: {poly}")
-            if sum(lam) != M.m or not pt.dominance_leq(mu, lam):
-                fail(mu, "triangular", f"{lam}")
-            if pt.residue_content(M.h, lam) != mu_content:
-                fail(mu, "block-purity", f"{lam}")
+        for condition, witness in column_failures(mu, M.columns[mu], M.m,
+                                                  content_of):
+            failures.append(BasisCheck(mu, condition, witness))
     return BasisMatrixReport(M.h, M.m, not failures, tuple(failures))
 
 

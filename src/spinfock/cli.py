@@ -3,16 +3,16 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (a broken engine invariant: a canonical column failing its checks, an
 inexact divided power, an unstraightenable wedge word or an inconsistent
-ladder or crystal string).  Output is deterministic; --jobs (or
-SPINFOCK_JOBS) is accepted for interface stability and bounds worker
-width, which never affects results.
+ladder or crystal string).  Output is deterministic.  canonical and decomp
+emit their matrix through one path, _emit_matrix, as an aligned table, CSV
+or JSON; canonical hands it only the solved matrix, so the solver and its
+lower degrees are freed before serialisation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import partitions as pt
@@ -36,18 +36,26 @@ def _add_modulus_args(parser):
                        help="odd modulus h = p directly")
 
 
-def _add_jobs_arg(parser):
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("SPINFOCK_JOBS", "1")),
-                        help="worker width hint (never changes output)")
-
-
 def _modulus(args) -> int:
     h = 2 * args.n + 1 if args.n is not None else args.p
     pt.check_h(h)
-    if getattr(args, "jobs", 1) < 1:
-        raise ValueError("--jobs must be >= 1")
     return h
+
+
+def _emit_json(obj):
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+def _emit_matrix(M, fmt) -> int:
+    """Write a BasisMatrix or ReducedMatrix as a table, CSV or JSON."""
+    if fmt == "table":
+        sys.stdout.write(M.render_table())
+    elif fmt == "csv":
+        sys.stdout.write(M.to_csv())
+    else:
+        _emit_json(M.to_json())
+    return 0
 
 
 def cmd_crystal(args) -> int:
@@ -61,36 +69,19 @@ def cmd_crystal(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
     else:
-        json.dump(graph.to_json(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit_json(graph.to_json())
     return 0
 
 
 def cmd_canonical(args) -> int:
     h = _modulus(args)
-    solver = CanonicalBasis(h, fast=not args.slow)
-    M = solver.matrix(args.m)
-    if args.format == "table":
-        sys.stdout.write(M.render_table())
-    elif args.format == "csv":
-        sys.stdout.write(M.to_csv())
-    else:
-        json.dump(M.to_json(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    return 0
+    return _emit_matrix(CanonicalBasis(h, fast=not args.slow).matrix(args.m),
+                        args.format)
 
 
 def cmd_decomp(args) -> int:
-    p = _modulus(args)
-    R = modular.reduced_matrix(p, args.m)
-    if args.format == "table":
-        sys.stdout.write(R.render_table())
-    elif args.format == "csv":
-        sys.stdout.write(R.to_csv())
-    else:
-        json.dump(R.to_json(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    return 0
+    return _emit_matrix(modular.reduced_matrix(_modulus(args), args.m),
+                        args.format)
 
 
 def cmd_ladders(args) -> int:
@@ -102,13 +93,12 @@ def cmd_ladders(args) -> int:
         return USAGE_ERROR
     dec = pt.ladders(h, lam)
     if args.format == "json":
-        json.dump({
+        _emit_json({
             "h": h,
             "partition": list(lam),
             "ladders": [{"index": i, "residue": r, "cells": c}
                         for i, (r, c) in zip(dec.indices, dec.steps)],
-        }, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        })
         return 0
     # residue-and-ladder diagram, shortest row on top
     for k in range(len(lam), 0, -1):
@@ -116,7 +106,7 @@ def cmd_ladders(args) -> int:
                  for c in range(lam[k - 1])]
         print(" ".join(cell.ljust(5) for cell in cells).rstrip())
     word = []
-    for res, cnt in reversed(dec.monomial()):
+    for res, cnt in reversed(dec.steps):
         word.append(f"f_{res}" + (f"^({cnt})" if cnt > 1 else ""))
     print("monomial: " + " ".join(word) + " |0>")
     return 0
@@ -128,8 +118,7 @@ def cmd_verify(args) -> int:
     payload = report.to_json()
     if args.suite in ("properties", "all"):
         payload["exports"] = _conjecture_exports()
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _emit_json(payload)
     return 0 if report.ok else 1
 
 
@@ -155,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crystal", help="emit a crystal graph component")
     _add_modulus_args(p)
-    _add_jobs_arg(p)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--start", type=str, default="",
                    help="start vertex, e.g. 3 or 11,7,7,4 (default: empty)")
@@ -164,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canonical", help="print a canonical basis matrix")
     _add_modulus_args(p)
-    _add_jobs_arg(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("table", "json", "csv"),
                    default="table")
@@ -174,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decomp", help="print a reduced decomposition matrix")
     _add_modulus_args(p)
-    _add_jobs_arg(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("table", "json", "csv"),
                    default="table")
@@ -182,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ladders", help="show the ladder diagram and monomial")
     _add_modulus_args(p)
-    _add_jobs_arg(p)
     p.add_argument("--partition", type=str, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_ladders)
@@ -192,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--max-degree", type=int, default=9)
     p.add_argument("--seed", type=int, default=0)
-    _add_jobs_arg(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

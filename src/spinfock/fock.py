@@ -83,11 +83,7 @@ class FockVector:
     def __add__(self, other):
         t = dict(self._terms)
         for lam, poly in other._terms.items():
-            s = t.get(lam, ZERO) + poly
-            if s:
-                t[lam] = s
-            elif lam in t:
-                del t[lam]
+            _accumulate(t, lam, poly)
         out = FockVector.__new__(FockVector)
         out._terms = t
         return out
@@ -228,12 +224,14 @@ def normal_order(word, h, rng=None) -> FockVector:
     return FockVector({key: LaurentPoly({2 * swaps: sign})})
 
 
-def _accumulate(out, key, poly):
-    s = out.get(key, ZERO) + poly
-    if s:
-        out[key] = s
-    elif key in out:
-        del out[key]
+def _accumulate(out, key, value):
+    """out[key] += value, dropping a zero sum; needs no zero of value's type."""
+    if key in out:
+        value = out[key] + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
 def apply_f(h: int, i: int, v: FockVector) -> FockVector:
@@ -314,10 +312,6 @@ def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
         e = sum(_t_exp(h, n, i, j) for j in lam) + (1 if i == n else 0)
         out[lam] = c.shifted(-e if inverse else e)
     return FockVector(out)
-
-
-def apply_t_inv(h: int, i: int, v: FockVector) -> FockVector:
-    return apply_t(h, i, v, inverse=True)
 
 
 def apply_f_divided(h: int, i: int, k: int, v: FockVector) -> FockVector:

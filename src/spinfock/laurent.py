@@ -32,10 +32,6 @@ class LaurentPoly:
         return ONE
 
     @classmethod
-    def q_power(cls, k: int) -> "LaurentPoly":
-        return cls({k: 1})
-
-    @classmethod
     def const(cls, a: int) -> "LaurentPoly":
         return cls({0: a})
 
@@ -44,9 +40,6 @@ class LaurentPoly:
 
     def coeffs(self) -> dict:
         return dict(self._c)
-
-    def exponents(self):
-        return sorted(self._c)
 
     def __bool__(self):
         return bool(self._c)
@@ -130,12 +123,6 @@ class LaurentPoly:
     def at_one(self) -> int:
         """Evaluate at q = 1, i.e. the coefficient sum."""
         return sum(self._c.values())
-
-    def min_exp(self):
-        return min(self._c) if self._c else None
-
-    def max_exp(self):
-        return max(self._c) if self._c else None
 
     def in_z_of_q(self) -> bool:
         """True when no negative exponent occurs (element of Z[q])."""

@@ -15,8 +15,8 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import FockVector
-from .canonical import CanonicalBasis, a_vector
+from .fock import FockVector, _accumulate
+from .canonical import CanonicalBasis, a_vector, render_csv, render_table
 from . import partitions as pt
 from . import crystal
 
@@ -108,28 +108,11 @@ class ReducedMatrix:
         }
 
     def render_table(self) -> str:
-        rows = self.row_labels()
-        heads = [pt.format_partition(mu) for mu in self.labels]
-        cells = [[str(self.entry(lam, mu)) for mu in self.labels] for lam in rows]
-        name_w = max((len(f"<{pt.format_partition(r)[1:-1]}>") for r in rows), default=2)
-        widths = [max([len(heads[j])] + [len(row[j]) for row in cells])
-                  for j in range(len(heads))]
-        lines = [" " * name_w + "  " +
-                 "  ".join(hd.ljust(w) for hd, w in zip(heads, widths))]
-        for lam, row in zip(rows, cells):
-            label = f"<{pt.format_partition(lam)[1:-1]}>"
-            lines.append(label.ljust(name_w) + "  " +
-                         "  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines) + "\n"
+        return render_table(
+            self, lambda lam: f"<{pt.format_partition(lam)[1:-1]}>")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([""] + [pt.format_partition(mu) for mu in self.labels])
-        for lam in self.row_labels():
-            w.writerow([pt.format_partition(lam)] +
-                       [str(self.entry(lam, mu)) for mu in self.labels])
-        return buf.getvalue()
+        return render_csv(self)
 
 
 def reduced_matrix(p: int, m: int, solver: CanonicalBasis = None) -> ReducedMatrix:
@@ -247,9 +230,7 @@ def f_infinity(j: int, v: dict) -> dict:
             if j not in lam or j + 1 in lam:
                 continue
             mu = tuple(sorted([p + 1 if p == j else p for p in lam], reverse=True))
-        out[mu] = out.get(mu, 0) + c
-        if not out[mu]:
-            del out[mu]
+        _accumulate(out, mu, c)
     return out
 
 
@@ -265,9 +246,7 @@ def e_infinity(j: int, v: dict) -> dict:
             continue
         mu = tuple(sorted([p for p in lam if p != j + 1] + ([j] if j else []),
                           reverse=True))
-        out[mu] = out.get(mu, 0) + c
-        if not out[mu]:
-            del out[mu]
+        _accumulate(out, mu, c)
     return out
 
 
@@ -282,9 +261,7 @@ def classical_f(p: int, i: int, v: dict) -> dict:
         for j in set(lam) | {0}:
             if j % p in targets:
                 for mu, a in f_infinity(j, {lam: c}).items():
-                    out[mu] = out.get(mu, 0) + a
-                    if not out[mu]:
-                        del out[mu]
+                    _accumulate(out, mu, a)
     return out
 
 
@@ -315,35 +292,7 @@ def classical_e(p: int, i: int, v: dict) -> dict:
                 else:
                     continue
             for mu, a in e_infinity(j, {lam: c}).items():
-                out[mu] = out.get(mu, 0) + mult * a
-                if not out[mu]:
-                    del out[mu]
-    return out
-
-
-def induce(v: dict) -> dict:
-    """Degree-raising induction: the sum of all f_infinity."""
-    out = {}
-    for lam, c in v.items():
-        for j in set(lam) | {0}:
-            for mu, a in f_infinity(j, {lam: c}).items():
-                out[mu] = out.get(mu, 0) + a
-                if not out[mu]:
-                    del out[mu]
-    return out
-
-
-def restrict(v: dict) -> dict:
-    """Degree-lowering restriction: e_infinity(0) + 2 * sum_{j>0} e_infinity(j)."""
-    out = {}
-    for lam, c in v.items():
-        for x in lam:
-            j = x - 1
-            mult = 1 if j == 0 else 2
-            for mu, a in e_infinity(j, {lam: c}).items():
-                out[mu] = out.get(mu, 0) + mult * a
-                if not out[mu]:
-                    del out[mu]
+                _accumulate(out, mu, mult * a)
     return out
 
 

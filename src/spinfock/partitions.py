@@ -180,10 +180,6 @@ class LadderDecomposition:
     indices: tuple          # occupied ladder indices, increasing
     steps: tuple            # parallel (residue, cell_count) pairs
 
-    def monomial(self) -> tuple:
-        """The (residue, count) word, first ladder first."""
-        return self.steps
-
 
 def ladders(h: int, lam) -> LadderDecomposition:
     """Peel a DP_h partition into its ladders."""
@@ -313,14 +309,6 @@ def dominance_leq(lam, mu) -> bool:
         if a > b:
             return False
     return True
-
-
-def lex_cmp(lam, mu) -> int:
-    """-1, 0 or 1 comparing in (zero-padded) lexicographic order."""
-    lam, mu = tuple(lam), tuple(mu)
-    if lam == mu:
-        return 0
-    return -1 if lam < mu else 1
 
 
 def shift_by_multiple(h: int, lam, mu) -> tuple:

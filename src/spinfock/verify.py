@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, generator_scale
-from .fock import FockVector, apply_f, apply_e, apply_t, apply_t_inv, straighten
+from .fock import FockVector, apply_f, apply_e, apply_t, straighten
 from .canonical import CanonicalBasis, a_vector, canonical_basis, check_basis_matrix
 from . import partitions as pt
 from . import crystal
@@ -139,7 +139,7 @@ def check_partition_fixtures() -> list:
     ]
     dec = pt.ladders(7, (11, 7, 7, 4))
     out.append(_compare("ladder count of (11,7,7,4)", len(dec.indices), 22))
-    out.append(_compare("ladder monomial of (11,7,7,4)", dec.monomial(),
+    out.append(_compare("ladder monomial of (11,7,7,4)", dec.steps,
                         fx.LADDERS_11774_H7))
     out.append(_compare("7th ladder of (11,7,7,4)", dec.steps[6], (3, 3)))
     return out
@@ -275,7 +275,7 @@ def _commutator_rhs(h, i, v):
     n = pt.rank(h)
     d = generator_scale(i, n)
     denom = LaurentPoly({d: 1, -d: -1})
-    diff = apply_t(h, i, v) - apply_t_inv(h, i, v)
+    diff = apply_t(h, i, v) - apply_t(h, i, v, inverse=True)
     return FockVector({lam: c.exact_div(denom) for lam, c in diff.terms()})
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from spinfock.laurent import LaurentPoly, ONE
+from spinfock.laurent import LaurentPoly, ONE, Q
 from spinfock.fock import FockVector
 from spinfock import partitions as pt
 from spinfock import crystal
@@ -8,12 +8,11 @@ from spinfock import fixtures as fx
 from spinfock.canonical import (
     BasisMatrix,
     CanonicalBasis,
+    CanonicalBasisError,
     a_vector,
-    a_vector_fast,
     canonical_basis,
     check_basis_matrix,
     change_of_basis,
-    ladder_monomial,
 )
 
 
@@ -23,7 +22,7 @@ def vec(data):
 
 class TestIntermediateVectors:
     def test_monomial_of_big_example(self):
-        assert ladder_monomial(7, (11, 7, 7, 4)) == fx.LADDERS_11774_H7
+        assert pt.ladders(7, (11, 7, 7, 4)).steps == fx.LADDERS_11774_H7
 
     def test_a_3321(self):
         assert a_vector(3, (3, 3, 2, 1)) == vec(fx.A_3321_H3)
@@ -40,17 +39,6 @@ class TestIntermediateVectors:
 
     def test_degree_one(self):
         assert a_vector(3, (1,)) == FockVector.basis((1,))
-
-    def test_fast_needs_context(self):
-        with pytest.raises(KeyError):
-            a_vector_fast(3, (4, 3, 2), {})
-
-    def test_fast_same_support_top(self):
-        solver = CanonicalBasis(3)
-        solver.matrix(8)
-        fast = a_vector_fast(3, (4, 3, 2), solver._columns)
-        assert fast.coefficient((4, 3, 2)) == ONE
-        assert set(fast.support()) <= set(a_vector(3, (4, 3, 2)).support())
 
 
 class TestCanonicalColumns:
@@ -110,14 +98,36 @@ class TestMatrixChecks:
             assert len(M.labels) == len(pt.enumerate_dpr_h(3, m))
             assert len(M.labels) == len(graph.vertices_of_degree(m))
 
+    # Entries added to the column (4,2,1) at h=3, degree 7, where (5,2)
+    # is alone in its residue-content block and (6,1), (3,3,1) share the
+    # block of (4,2,1).  Each breaks the condition it is listed with.
+    BROKEN_ENTRIES = (
+        ("unit-diagonal", (4, 2, 1), {0: 1}),       # diagonal becomes 2
+        ("integral", (6, 1), {-1: 1}),
+        ("lattice-congruence", (6, 1), {0: 1}),
+        ("triangular", (3, 3, 1), {1: 1}),          # does not dominate
+        ("triangular", (8,), {1: 1}),               # wrong degree
+        ("block-purity", (5, 2), {1: 1}),
+    )
+
     def test_report_catches_bad_matrix(self):
-        M = canonical_basis(3, 6)
-        broken = dict(M.columns)
-        mu = M.labels[0]
-        broken[mu] = broken[mu] + FockVector.basis(mu)  # diagonal becomes 2
-        rep = check_basis_matrix(BasisMatrix(3, 6, M.labels, broken))
-        assert not rep.ok
-        assert any(c.condition == "unit-diagonal" for c in rep.failures)
+        M = canonical_basis(3, 7)
+        mu = (4, 2, 1)
+        for condition, row, poly in self.BROKEN_ENTRIES:
+            broken = dict(M.columns)
+            broken[mu] = broken[mu] + FockVector.basis(row, LaurentPoly(poly))
+            rep = check_basis_matrix(BasisMatrix(3, 7, M.labels, broken))
+            assert not rep.ok
+            assert (mu, condition) in {(c.column, c.condition)
+                                       for c in rep.failures}, condition
+
+    def test_solver_rejects_bad_column(self):
+        solver = CanonicalBasis(3)
+        mu = (4, 2, 1)
+        broken = solver.column(mu) + FockVector.basis((3, 3, 1), Q)
+        with pytest.raises(CanonicalBasisError,
+                           match=r"column \(4, 2, 1\): triangular \(\(3, 3, 1\)\)"):
+            solver._validate_column(mu, broken, 7)
 
     def test_labels_must_match_columns(self):
         M = canonical_basis(3, 6)

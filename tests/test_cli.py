@@ -172,13 +172,25 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "canonical", "--p", "4", "--m", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("canonical", "--n", "1", "--m", "8"),
+        ("decomp", "--p", "3", "--m", "8"),
+        ("crystal", "--n", "1", "--max-degree", "4"),
+        ("ladders", "--n", "1", "--partition", "3,1"),
+        ("verify",),
+    ])
+    def test_jobs_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        assert exc.value.code == 2
+
 
 class TestInternalErrors:
     @pytest.fixture
     def broken_column_check(self, monkeypatch):
         from spinfock.canonical import CanonicalBasis, CanonicalBasisError
 
-        def fail(self, mu, vec, mu_content):
+        def fail(self, mu, vec, m):
             raise CanonicalBasisError(f"column {mu}: injected")
 
         monkeypatch.setattr(CanonicalBasis, "_validate_column", fail)
@@ -196,13 +208,6 @@ class TestInternalErrors:
 
 
 class TestDeterminism:
-    def test_output_independent_of_jobs(self, capsys):
-        _, out1, _ = run(capsys, "canonical", "--n", "1", "--m", "8",
-                         "--jobs", "1")
-        _, out2, _ = run(capsys, "canonical", "--n", "1", "--m", "8",
-                         "--jobs", "4")
-        assert out1 == out2
-
     def test_repeat_runs_identical(self, capsys):
         _, out1, _ = run(capsys, "crystal", "--n", "2", "--max-degree", "6",
                          "--format", "dot")

@@ -152,12 +152,6 @@ class TestClassicalAction:
         v = {(3, 2): 1}
         assert modular.f_infinity(2, v) == {}   # would repeat the part 3
 
-    def test_induce_restrict(self):
-        v = {(2, 1): 1}
-        assert modular.induce(v) == {(3, 1): 1}
-        assert modular.restrict(v) == {(2,): 1}
-        assert modular.restrict({(3, 1): 1}) == {(3,): 1, (2, 1): 2}
-
     @pytest.mark.parametrize("p", [3, 5])
     def test_quotient_intertwines(self, p):
         n = pt.rank(p)

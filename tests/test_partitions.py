@@ -222,7 +222,6 @@ class TestBarCores:
 class TestOrders:
     def test_reflexive(self):
         assert pt.dominance_leq((4, 3), (4, 3))
-        assert pt.lex_cmp((4, 3), (4, 3)) == 0
 
     def test_chain(self):
         assert pt.dominance_leq((3, 3, 3, 1), (4, 3, 2, 1))
@@ -231,7 +230,6 @@ class TestOrders:
     def test_541_vs_532(self):
         assert pt.dominance_leq((5, 3, 2), (5, 4, 1))
         assert not pt.dominance_leq((5, 4, 1), (5, 3, 2))
-        assert pt.lex_cmp((5, 4, 1), (5, 3, 2)) == 1
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
