@@ -1,7 +1,7 @@
 """Kashiwara operators on DP_h labels and the colored crystal graph.
 
 The single-letter graph has vertices j in Z with an i-arrow j -> j+1 exactly
-when j = n+i or n-i mod h (for i < n) or j = -1, 0 mod h (for i = n).  A
+when residue(h, j) == i, the color rule of `partitions.residue`.  A
 partition behaves like the tensor product of its letters with the vacuum on
 the right; string statistics combine by the usual two-factor rules
     phi(head, tail) = phi(head) + max(0, phi(tail) - eps(head)),
@@ -16,18 +16,10 @@ from dataclasses import dataclass
 from . import partitions as pt
 
 
-def _has_arrow(h: int, n: int, i: int, j: int) -> bool:
-    r = j % h
-    if i == n:
-        return r in (0, h - 1)
-    return r in ((n - i) % h, (n + i) % h)
-
-
 def phi_aff(h: int, i: int, j: int) -> int:
     """Steps from letter j to the end of its i-string."""
-    n = pt.rank(h)
     count = 0
-    while _has_arrow(h, n, i, j + count):
+    while pt.residue(h, j + count) == i:
         count += 1
         if count > h:
             raise pt.InvariantError(
@@ -37,9 +29,8 @@ def phi_aff(h: int, i: int, j: int) -> int:
 
 def eps_aff(h: int, i: int, j: int) -> int:
     """Steps from letter j back to the origin of its i-string."""
-    n = pt.rank(h)
     count = 0
-    while _has_arrow(h, n, i, j - 1 - count):
+    while pt.residue(h, j - 1 - count) == i:
         count += 1
         if count > h:
             raise pt.InvariantError(
@@ -56,7 +47,7 @@ def _check_vertex(h, lam):
 
 def _suffix_stats(h, i, lam):
     """stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""
-    n = pt.rank(h)
+    n = pt.check_color(h, i)
     r = len(lam)
     stats = [(0, 0)] * (r + 1)
     stats[r] = (0, 1 if i == n else 0)
@@ -100,8 +91,6 @@ def etilde(h: int, i: int, lam):
     for k, part in enumerate(lam):
         _, phi_tail = stats[k + 1]
         if eps_aff(h, i, part) > phi_tail:
-            if eps_aff(h, i, part) == 0:
-                return None
             new = lam[:k] + (part - 1,) + lam[k + 1:]
             return pt.check_partition(new)
     return None

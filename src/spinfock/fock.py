@@ -4,6 +4,8 @@ A basis vector is labelled by a DP_h partition; a generic vector is a finite
 map from such labels to Laurent polynomials.  The lowering/raising action is
 positional over the finite part of the word plus one explicit vacuum slot;
 the infinite tail of u_0's only contributes through the vacuum rules.
+Which letters an action touches, and the q-powers it picks up, all come
+from the one color rule `partitions.residue`.
 """
 
 from __future__ import annotations
@@ -134,50 +136,10 @@ class FockVector:
         return body or "0"
 
 
-# Letter-wise action tables.  j is a letter of the word, r its class mod h.
-# Return codes for f/e: 0 dead, 1 unit coefficient, 2 the (q + 1/q) case.
-
-def _f_code(h, n, i, j):
-    r = j % h
-    if i == n:
-        if r == h - 1:
-            return 1
-        if r == 0:
-            return 2
-        return 0
-    return 1 if r in ((n - i) % h, (n + i) % h) else 0
-
-
-def _e_code(h, n, i, j):
-    r = j % h
-    if i == n:
-        if r == 1:
-            return 1
-        if r == 0:
-            return 2
-        return 0
-    return 1 if r in ((n + 1 - i) % h, (n + 1 + i) % h) else 0
-
-
-def _t_exp(h, n, i, j):
-    r = j % h
-    if i == n:
-        if r == h - 1:
-            return 2
-        if r == 1:
-            return -2
-        return 0
-    if i == 0:
-        if r == n % h:
-            return 4
-        if r == (n + 1) % h:
-            return -4
-        return 0
-    if r in ((n - i) % h, (n + i) % h):
-        return 2
-    if r in ((n + 1 - i) % h, (n + 1 + i) % h):
-        return -2
-    return 0
+def _t_exp(h, i, j):
+    """Exponent of q by which t_i scales the letter j."""
+    arrows = (pt.residue(h, j) == i) - (pt.residue(h, j - 1) == i)
+    return (4 if i == 0 else 2) * arrows
 
 
 _Q_PLUS_QINV = LaurentPoly({1: 1, -1: 1})
@@ -234,6 +196,20 @@ def _accumulate(out, key, value):
         out.pop(key, None)
 
 
+def _add_word(out, h, word, c, shift, double):
+    """Accumulate c q^shift (q + 1/q if double) times the straightened word."""
+    res = straighten(word, h)
+    if res is None:
+        return
+    key, swaps = res
+    poly = c.shifted(shift + 2 * swaps)
+    if swaps % 2:
+        poly = -poly
+    if double:
+        poly = poly * _Q_PLUS_QINV
+    _accumulate(out, key, poly)
+
+
 def apply_f(h: int, i: int, v: FockVector) -> FockVector:
     """Lowering operator f_i.
 
@@ -241,75 +217,44 @@ def apply_f(h: int, i: int, v: FockVector) -> FockVector:
     letter (and the vacuum) by t_i; for i = n an extra term appends a part 1
     coming from the vacuum.
     """
-    n = pt.rank(h)
-    if not 0 <= i <= n:
-        raise ValueError(f"color {i} out of range 0..{n}")
+    n = pt.check_color(h, i)
     out = {}
     for lam, c in v.terms():
         r = len(lam)
-        texp = [_t_exp(h, n, i, j) for j in lam]
         # suffix[k] = t-exponent collected strictly right of position k
         suffix = [0] * (r + 1)
         suffix[r] = 1 if i == n else 0
         for k in range(r - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + texp[k]
-        for k in range(r):
-            code = _f_code(h, n, i, lam[k])
-            if not code:
-                continue
-            res = straighten(lam[:k] + (lam[k] + 1,) + lam[k + 1:], h)
-            if res is None:
-                continue
-            key, swaps = res
-            poly = c.shifted(suffix[k + 1] + 2 * swaps)
-            if swaps % 2:
-                poly = -poly
-            if code == 2:
-                poly = poly * _Q_PLUS_QINV
-            _accumulate(out, key, poly)
+            suffix[k] = suffix[k + 1] + _t_exp(h, i, lam[k])
+        for k, j in enumerate(lam):
+            if pt.residue(h, j) == i:
+                _add_word(out, h, lam[:k] + (j + 1,) + lam[k + 1:], c,
+                          suffix[k + 1], i == n and j % h == 0)
         if i == n:
-            res = straighten(lam + (1,), h)
-            if res is not None:
-                key, swaps = res
-                poly = c.shifted(2 * swaps)
-                if swaps % 2:
-                    poly = -poly
-                _accumulate(out, key, poly)
+            _add_word(out, h, lam + (1,), c, 0, False)
     return FockVector(out)
 
 
 def apply_e(h: int, i: int, v: FockVector) -> FockVector:
     """Raising operator e_i; letters left of the acted one pick up 1/t_i."""
-    n = pt.rank(h)
-    if not 0 <= i <= n:
-        raise ValueError(f"color {i} out of range 0..{n}")
+    n = pt.check_color(h, i)
     out = {}
     for lam, c in v.terms():
         prefix = 0
-        for k in range(len(lam)):
-            code = _e_code(h, n, i, lam[k])
-            if code:
-                res = straighten(lam[:k] + (lam[k] - 1,) + lam[k + 1:], h)
-                if res is not None:
-                    key, swaps = res
-                    poly = c.shifted(prefix + 2 * swaps)
-                    if swaps % 2:
-                        poly = -poly
-                    if code == 2:
-                        poly = poly * _Q_PLUS_QINV
-                    _accumulate(out, key, poly)
-            prefix -= _t_exp(h, n, i, lam[k])
+        for k, j in enumerate(lam):
+            if pt.residue(h, j - 1) == i:
+                _add_word(out, h, lam[:k] + (j - 1,) + lam[k + 1:], c,
+                          prefix, i == n and j % h == 0)
+            prefix -= _t_exp(h, i, j)
     return FockVector(out)
 
 
 def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
     """Torus element t_i (or its inverse): scales each label by a q power."""
-    n = pt.rank(h)
-    if not 0 <= i <= n:
-        raise ValueError(f"color {i} out of range 0..{n}")
+    n = pt.check_color(h, i)
     out = {}
     for lam, c in v.terms():
-        e = sum(_t_exp(h, n, i, j) for j in lam) + (1 if i == n else 0)
+        e = sum(_t_exp(h, i, j) for j in lam) + (1 if i == n else 0)
         out[lam] = c.shifted(-e if inverse else e)
     return FockVector(out)
 

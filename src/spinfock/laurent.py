@@ -101,14 +101,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        out = ONE
-        for _ in range(k):
-            out = out * self
-        return out
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by q**k."""
         return LaurentPoly({e + k: a for e, a in self._c.items()})
@@ -116,9 +108,6 @@ class LaurentPoly:
     def bar(self) -> "LaurentPoly":
         """The involution q -> 1/q (exponent negation)."""
         return LaurentPoly({-e: a for e, a in self._c.items()})
-
-    def is_bar_invariant(self) -> bool:
-        return all(self._c.get(-e, 0) == a for e, a in self._c.items())
 
     def at_one(self) -> int:
         """Evaluate at q = 1, i.e. the coefficient sum."""

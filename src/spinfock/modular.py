@@ -252,14 +252,11 @@ def e_infinity(j: int, v: dict) -> dict:
 
 def classical_f(p: int, i: int, v: dict) -> dict:
     """Affine lowering on the classical side: sum of f_infinity over the class."""
-    n = pt.rank(p)
-    if not 0 <= i <= n:
-        raise ValueError(f"color {i} out of range 0..{n}")
-    targets = {(n - i) % p, (n + i) % p}
+    pt.check_color(p, i)
     out = {}
     for lam, c in v.items():
         for j in set(lam) | {0}:
-            if j % p in targets:
+            if pt.residue(p, j) == i:
                 for mu, a in f_infinity(j, {lam: c}).items():
                     _accumulate(out, mu, a)
     return out
@@ -268,29 +265,17 @@ def classical_f(p: int, i: int, v: dict) -> dict:
 def classical_e(p: int, i: int, v: dict) -> dict:
     """Affine raising on the classical side.
 
-    For i < n the sum runs over indices j = n-i, n+i mod p (each replacing a
-    part j+1 by j); for i = n the index j = 0 enters once and every positive
-    j = 0, -1 mod p enters with multiplicity 2.
+    The sum runs over the indices j with residue(p, j) == i, each replacing a
+    part j+1 by j; for i = n every positive j enters with multiplicity 2.
     """
-    n = pt.rank(p)
-    if not 0 <= i <= n:
-        raise ValueError(f"color {i} out of range 0..{n}")
+    n = pt.check_color(p, i)
     out = {}
     for lam, c in v.items():
         for x in lam:
             j = x - 1
-            if i == n:
-                if j == 0:
-                    mult = 1
-                elif j % p in (0, p - 1):
-                    mult = 2
-                else:
-                    continue
-            else:
-                if j % p in ((n - i) % p, (n + i) % p):
-                    mult = 1
-                else:
-                    continue
+            if pt.residue(p, j) != i:
+                continue
+            mult = 2 if i == n and j else 1
             for mu, a in e_infinity(j, {lam: c}).items():
                 _accumulate(out, mu, mult * a)
     return out

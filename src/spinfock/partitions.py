@@ -8,6 +8,7 @@ diagrams are 0-indexed, rows 1-indexed from the longest part.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -25,6 +26,14 @@ def rank(h: int) -> int:
     """The index n with h = 2n+1."""
     check_h(h)
     return (h - 1) // 2
+
+
+def check_color(h: int, i: int) -> int:
+    """Reject a color outside 0..n; returns the rank n."""
+    n = rank(h)
+    if not 0 <= i <= n:
+        raise ValueError(f"color {i} out of range 0..{n}")
+    return n
 
 
 def check_partition(parts) -> tuple:
@@ -95,11 +104,7 @@ def enumerate_dp(m: int) -> list:
     """Strict partitions of m, decreasing lex order."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if m == 0:
-        return [()]
-    return [(first,) + rest
-            for first in range(m, 0, -1)
-            for rest in _strict_gen(m - first, first - 1)]
+    return list(_strict_gen(m, m))
 
 
 def _strict_gen(rem, bound):
@@ -116,7 +121,7 @@ def enumerate_dp_h(h: int, m: int) -> list:
     check_h(h)
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    return list(_dp_h_gen(h, m, m if m else 0)) if m else [()]
+    return list(_dp_h_gen(h, m, m))
 
 
 def _dpr_gen(h, rem, prev):
@@ -143,8 +148,16 @@ def enumerate_dpr_h(h: int, m: int) -> list:
     return list(_dpr_gen(h, m, None))
 
 
+@functools.lru_cache(maxsize=None)
 def residue(h: int, column: int) -> int:
-    """Color i in 0..n of a (0-indexed) column: column = n+i or n-i mod h."""
+    """Color i in 0..n of a column or letter: column = n+i or n-i mod h.
+
+    This is the one color rule of the package.  An i-arrow of the Fock,
+    crystal and classical actions leaves letter j exactly when
+    residue(h, j) == i (so i = n covers j = 0, -1 mod h).  The short node n
+    adds the factor q + 1/q when the moved letter is a multiple of h, and
+    t_i moves a letter's weight by q^(+-4) at node 0, q^(+-2) elsewhere.
+    """
     n = rank(h)
     r = column % h
     return n - r if r <= n else r - n

@@ -61,6 +61,13 @@ class TestOperators:
         assert crystal.phi(3, 0, ()) == 0
         assert crystal.etilde(3, 1, ()) is None
 
+    @pytest.mark.parametrize("h", [3, 5])
+    def test_rejects_bad_color(self, h):
+        for i in (-1, pt.rank(h) + 1):
+            for op in (crystal.ftilde, crystal.etilde, crystal.eps, crystal.phi):
+                with pytest.raises(ValueError, match=f"color {i} out of range"):
+                    op(h, i, (2,))
+
     def test_rejects_bad_vertex(self):
         with pytest.raises(ValueError):
             crystal.ftilde(3, 1, (2, 2))

@@ -48,7 +48,8 @@ class TestRing:
         assert a + a * poly({2: -1}) == poly({0: 1, 4: -1})
 
     def test_square_example(self):
-        assert poly({1: 1, -1: 1}) ** 2 == poly({2: 1, 0: 2, -2: 1})
+        a = poly({1: 1, -1: 1})
+        assert a * a == poly({2: 1, 0: 2, -2: 1})
 
 
 class TestBar:
@@ -67,7 +68,6 @@ class TestBar:
     def test_symmetric_fixed(self):
         a = poly({3: 1, -3: 1})
         assert a.bar() == a
-        assert a.is_bar_invariant()
 
 
 class TestQuantumIntegers:
@@ -88,7 +88,8 @@ class TestQuantumIntegers:
     @given(st.integers(0, 6), st.integers(1, 3))
     def test_bar_invariant(self, k, n):
         for i in range(n + 1):
-            assert q_integer(k, i, n).is_bar_invariant()
+            p = q_integer(k, i, n)
+            assert p.bar() == p
 
     def test_factorial(self):
         two = q_integer(2, 1, 1)
@@ -131,7 +132,7 @@ class TestSymmetrizeTail:
     @given(polys)
     def test_defining_property(self, c):
         g = symmetrize_tail(c)
-        assert g.is_bar_invariant()
+        assert g.bar() == g
         assert (c - g).in_q_z_of_q()
 
     @given(st.dictionaries(st.integers(0, 6), st.integers(-5, 5), max_size=4).map(poly))
