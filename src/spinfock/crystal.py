@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from . import partitions as pt
 
 
-def phi_aff(h: int, i: int, j: int) -> int:
-    """Steps from letter j to the end of its i-string."""
+def _phi(h, i, j):
     count = 0
     while pt.residue(h, j + count) == i:
         count += 1
@@ -27,8 +26,7 @@ def phi_aff(h: int, i: int, j: int) -> int:
     return count
 
 
-def eps_aff(h: int, i: int, j: int) -> int:
-    """Steps from letter j back to the origin of its i-string."""
+def _eps(h, i, j):
     count = 0
     while pt.residue(h, j - 1 - count) == i:
         count += 1
@@ -36,6 +34,18 @@ def eps_aff(h: int, i: int, j: int) -> int:
             raise pt.InvariantError(
                 f"{i}-string through {j} is longer than h={h}")
     return count
+
+
+def phi_aff(h: int, i: int, j: int) -> int:
+    """Steps from letter j to the end of its i-string."""
+    pt.check_color(h, i)
+    return _phi(h, i, j)
+
+
+def eps_aff(h: int, i: int, j: int) -> int:
+    """Steps from letter j back to the origin of its i-string."""
+    pt.check_color(h, i)
+    return _eps(h, i, j)
 
 
 def _check_vertex(h, lam):
@@ -46,38 +56,40 @@ def _check_vertex(h, lam):
 
 
 def _suffix_stats(h, i, lam):
-    """stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""
+    """(letters, stats): letters[k] = (eps, phi) of the letter lam[k] and
+    stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""
     n = pt.check_color(h, i)
+    letters = [(_eps(h, i, j), _phi(h, i, j)) for j in lam]
     r = len(lam)
     stats = [(0, 0)] * (r + 1)
     stats[r] = (0, 1 if i == n else 0)
     for k in range(r - 1, -1, -1):
-        ea, pa = eps_aff(h, i, lam[k]), phi_aff(h, i, lam[k])
+        ea, pa = letters[k]
         et, ft = stats[k + 1]
         stats[k] = (et + max(0, ea - ft), pa + max(0, ft - ea))
-    return stats
+    return letters, stats
 
 
 def eps(h: int, i: int, lam) -> int:
     """Length of the backward i-string through a vertex."""
     lam = _check_vertex(h, lam)
-    return _suffix_stats(h, i, lam)[0][0]
+    return _suffix_stats(h, i, lam)[1][0][0]
 
 
 def phi(h: int, i: int, lam) -> int:
     """Length of the forward i-string through a vertex."""
     lam = _check_vertex(h, lam)
-    return _suffix_stats(h, i, lam)[0][1]
+    return _suffix_stats(h, i, lam)[1][0][1]
 
 
 def ftilde(h: int, i: int, lam):
     """Lowering crystal operator; None when it kills the vertex."""
     lam = _check_vertex(h, lam)
-    stats = _suffix_stats(h, i, lam)
+    letters, stats = _suffix_stats(h, i, lam)
     for k, part in enumerate(lam):
-        _, phi_tail = stats[k + 1]
-        if eps_aff(h, i, part) >= phi_tail:
-            if phi_aff(h, i, part) == 0:
+        ea, pa = letters[k]
+        if ea >= stats[k + 1][1]:
+            if pa == 0:
                 return None
             return lam[:k] + (part + 1,) + lam[k + 1:]
     # fell through to the vacuum slot
@@ -87,10 +99,9 @@ def ftilde(h: int, i: int, lam):
 def etilde(h: int, i: int, lam):
     """Raising crystal operator, the partial inverse of ftilde."""
     lam = _check_vertex(h, lam)
-    stats = _suffix_stats(h, i, lam)
+    letters, stats = _suffix_stats(h, i, lam)
     for k, part in enumerate(lam):
-        _, phi_tail = stats[k + 1]
-        if eps_aff(h, i, part) > phi_tail:
+        if letters[k][0] > stats[k + 1][1]:
             new = lam[:k] + (part - 1,) + lam[k + 1:]
             return pt.check_partition(new)
     return None

@@ -6,11 +6,20 @@ positional over the finite part of the word plus one explicit vacuum slot;
 the infinite tail of u_0's only contributes through the vacuum rules.
 Which letters an action touches, and the q-powers it picks up, all come
 from the one color rule `partitions.residue`.
+
+f_i and its divided powers run one kernel, `_f_raw`, on raw
+{label: {exponent: int}} maps and freeze the result once.  In a DP_h label
+only the raised letter j -> j+1 can break the order, so the kernel
+straightens locally: the new letter bubbles left through the run of equal
+letters j with one -q^2 per swap, and the term vanishes next to an equal
+j+1 that is not a multiple of h (the vacuum term vanishes on a last part
+1).  Any other word, and every word of e_i, goes to the generic
+`straighten`, which stays the oracle of the local rule.
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, ZERO, ONE, q_factorial
+from .laurent import LaurentPoly, ZERO, ONE, q_factorial, _pruned
 from . import partitions as pt
 
 
@@ -142,9 +151,6 @@ def _t_exp(h, i, j):
     return (4 if i == 0 else 2) * arrows
 
 
-_Q_PLUS_QINV = LaurentPoly({1: 1, -1: 1})
-
-
 def straighten(word, h, rng=None):
     """Reduce a wedge word to canonical form.
 
@@ -196,43 +202,102 @@ def _accumulate(out, key, value):
         out.pop(key, None)
 
 
-def _add_word(out, h, word, c, shift, double):
-    """Accumulate c q^shift (q + 1/q if double) times the straightened word."""
-    res = straighten(word, h)
+def _add_term(out, res, c, shift, double):
+    """out[key] += c q^shift (-q^2)^swaps (q + 1/q if double), res = (key, swaps).
+
+    `out` maps labels to raw {exponent: int} maps and `c` is one such map;
+    res None (a vanished word) adds nothing.
+    """
     if res is None:
         return
     key, swaps = res
-    poly = c.shifted(shift + 2 * swaps)
-    if swaps % 2:
-        poly = -poly
-    if double:
-        poly = poly * _Q_PLUS_QINV
-    _accumulate(out, key, poly)
+    d = out.get(key)
+    if d is None:
+        d = out[key] = {}
+    shift += 2 * swaps
+    odd = swaps % 2
+    for e, a in c.items():
+        e += shift
+        if odd:
+            a = -a
+        if double:
+            d[e - 1] = d.get(e - 1, 0) + a
+            d[e + 1] = d.get(e + 1, 0) + a
+        else:
+            d[e] = d.get(e, 0) + a
 
 
-def apply_f(h: int, i: int, v: FockVector) -> FockVector:
-    """Lowering operator f_i.
+def _frozen(raw) -> FockVector:
+    """The FockVector of {label: raw map}, zero coefficients dropped."""
+    out = FockVector.__new__(FockVector)
+    out._terms = {lam: poly for lam, c in raw.items() if (poly := _pruned(c))}
+    return out
+
+
+def _raised(h, lam, k, ordered):
+    """straighten(lam with letter k raised by one), by the local rule.
+
+    In an ordered word (a DP_h label) only the raised letter j+1 can be out
+    of order: it bubbles left through the run of equal letters j, one -q^2
+    per swap, and the word vanishes if it then sits next to an equal j+1
+    that is not a multiple of h.  The run is nonempty only when j repeats,
+    so j = 0 mod h and straighten's swap rule holds.  A word that is not
+    ordered goes to the generic straighten, the oracle of this rule.
+    """
+    j = lam[k]
+    if not ordered:
+        return straighten(lam[:k] + (j + 1,) + lam[k + 1:], h)
+    p = k
+    while p and lam[p - 1] == j:
+        p -= 1
+    if p and lam[p - 1] == j + 1 and (j + 1) % h:
+        return None
+    return lam[:p] + (j + 1,) + lam[p:k] + lam[k + 1:], k - p
+
+
+def _f_raw(h, i, n, terms) -> dict:
+    """f_i on {label: raw {exponent: int}}; returns a new map of that kind.
 
     Term k of the action raises letter k by one and twists every later
     letter (and the vacuum) by t_i; for i = n an extra term appends a part 1
-    coming from the vacuum.
+    coming from the vacuum, which vanishes on a last part 1.  Each raised
+    word is normal-ordered by the local rule of `_raised`.
     """
-    n = pt.check_color(h, i)
+    hit = [pt.residue(h, j) == i for j in range(h)]
+    t_exp = [_t_exp(h, i, j) for j in range(h)]
     out = {}
-    for lam, c in v.terms():
+    for lam, c in terms.items():
         r = len(lam)
         # suffix[k] = t-exponent collected strictly right of position k
         suffix = [0] * (r + 1)
         suffix[r] = 1 if i == n else 0
+        ordered = not r or lam[-1] > 0
         for k in range(r - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + _t_exp(h, i, lam[k])
+            j = lam[k]
+            suffix[k] = suffix[k + 1] + t_exp[j % h]
+            if k + 1 < r and (j < lam[k + 1] or (j == lam[k + 1] and j % h)):
+                ordered = False
         for k, j in enumerate(lam):
-            if pt.residue(h, j) == i:
-                _add_word(out, h, lam[:k] + (j + 1,) + lam[k + 1:], c,
+            if hit[j % h]:
+                _add_term(out, _raised(h, lam, k, ordered), c,
                           suffix[k + 1], i == n and j % h == 0)
         if i == n:
-            _add_word(out, h, lam + (1,), c, 0, False)
-    return FockVector(out)
+            if not ordered:
+                _add_term(out, straighten(lam + (1,), h), c, 0, False)
+            elif not r or lam[-1] != 1:
+                _add_term(out, (lam + (1,), 0), c, 0, False)
+    return out
+
+
+def apply_f(h: int, i: int, v: FockVector) -> FockVector:
+    """Lowering operator f_i: the raw-map kernel `_f_raw`, frozen once.
+
+    Only the raised letter can break the order of a DP_h label, so each
+    term is straightened by a local rule (see `_raised`); `straighten`
+    stays the generic oracle for any other word.
+    """
+    n = pt.check_color(h, i)
+    return _frozen(_f_raw(h, i, n, {lam: c._c for lam, c in v.terms()}))
 
 
 def apply_e(h: int, i: int, v: FockVector) -> FockVector:
@@ -243,10 +308,11 @@ def apply_e(h: int, i: int, v: FockVector) -> FockVector:
         prefix = 0
         for k, j in enumerate(lam):
             if pt.residue(h, j - 1) == i:
-                _add_word(out, h, lam[:k] + (j - 1,) + lam[k + 1:], c,
-                          prefix, i == n and j % h == 0)
+                word = lam[:k] + (j - 1,) + lam[k + 1:]
+                _add_term(out, straighten(word, h), c._c, prefix,
+                          i == n and j % h == 0)
             prefix -= _t_exp(h, i, j)
-    return FockVector(out)
+    return _frozen(out)
 
 
 def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
@@ -260,20 +326,22 @@ def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
 
 
 def apply_f_divided(h: int, i: int, k: int, v: FockVector) -> FockVector:
-    """Divided power f_i^(k): iterate f_i then divide by [k]_i! exactly.
+    """Divided power f_i^(k): k kernel passes on raw maps, then [k]_i! exactly.
 
-    Non-divisibility raises ExactDivisionError; that always indicates a bug
-    upstream, never legitimate data.
+    The map is frozen once, after the last pass.  Non-divisibility raises
+    ExactDivisionError; that always indicates a bug upstream, never
+    legitimate data.
     """
     if k < 1:
         raise ValueError("divided power needs k >= 1")
-    n = pt.rank(h)
+    n = pt.check_color(h, i)
+    raw = {lam: c._c for lam, c in v.terms()}
     for _ in range(k):
-        v = apply_f(h, i, v)
+        raw = _f_raw(h, i, n, raw)
     if k == 1:
-        return v
+        return _frozen(raw)
     fact = q_factorial(k, i, n)
-    return FockVector({lam: c.exact_div(fact) for lam, c in v.terms()})
+    return FockVector({lam: _pruned(c).exact_div(fact) for lam, c in raw.items()})
 
 
 def weight(h: int, v: FockVector) -> tuple:

@@ -115,11 +115,11 @@ class LaurentPoly:
 
     def in_z_of_q(self) -> bool:
         """True when no negative exponent occurs (element of Z[q])."""
-        return all(e >= 0 for e in self._c)
+        return min(self._c, default=0) >= 0
 
     def in_q_z_of_q(self) -> bool:
         """True when all exponents are >= 1 (element of qZ[q])."""
-        return all(e >= 1 for e in self._c)
+        return min(self._c, default=1) >= 1
 
     def exact_div(self, divisor) -> "LaurentPoly":
         """Divide exactly, raising ExactDivisionError on any remainder.

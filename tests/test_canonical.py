@@ -98,9 +98,10 @@ class TestMatrixChecks:
             assert len(M.labels) == len(pt.enumerate_dpr_h(3, m))
             assert len(M.labels) == len(graph.vertices_of_degree(m))
 
-    # Entries added to the column (4,2,1) at h=3, degree 7, where (5,2)
-    # is alone in its residue-content block and (6,1), (3,3,1) share the
-    # block of (4,2,1).  Each breaks the condition it is listed with.
+    # Entries added to a column at h=3, degree 7 (the column (4,2,1) unless
+    # listed), where (5,2) is alone in its residue-content block and (6,1),
+    # (3,3,1) share the block of (4,2,1).  Each breaks the condition it is
+    # listed with.
     BROKEN_ENTRIES = (
         ("unit-diagonal", (4, 2, 1), {0: 1}),       # diagonal becomes 2
         ("integral", (6, 1), {-1: 1}),
@@ -108,12 +109,14 @@ class TestMatrixChecks:
         ("triangular", (3, 3, 1), {1: 1}),          # does not dominate
         ("triangular", (8,), {1: 1}),               # wrong degree
         ("block-purity", (5, 2), {1: 1}),
+        # longer than the column label, fails only at its last partial sum
+        ("triangular", (5, 1, 1), {1: 1}, (5, 2)),
     )
 
     def test_report_catches_bad_matrix(self):
         M = canonical_basis(3, 7)
-        mu = (4, 2, 1)
-        for condition, row, poly in self.BROKEN_ENTRIES:
+        for condition, row, poly, *column in self.BROKEN_ENTRIES:
+            mu = column[0] if column else (4, 2, 1)
             broken = dict(M.columns)
             broken[mu] = broken[mu] + FockVector.basis(row, LaurentPoly(poly))
             rep = check_basis_matrix(BasisMatrix(3, 7, M.labels, broken))

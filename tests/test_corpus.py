@@ -1,0 +1,59 @@
+"""Regression corpus: frozen sha256 digests of solver output, per degree.
+
+A regression check, not ground truth.  The digests pin what the engine
+printed when they were frozen, so an optimisation that changes any entry,
+label or ordering of `canonical_basis(h, m).to_json()` or
+`reduced_matrix(h, m).to_json()` fails here with the first bad degree.
+Ground truth stays with the paper fixtures and the uniqueness of the
+canonical basis (Lascoux-Leclerc-Thibon).
+
+`python tests/test_corpus.py` rewrites corpus_digests.json.  It refuses
+unless the fast route and the independent vacuum ("slow") route give the
+same digest at every degree.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from spinfock.canonical import CanonicalBasis
+from spinfock.modular import reduced_matrix
+
+CORPUS = Path(__file__).resolve().parent / "corpus_digests.json"
+GRID = {3: 26, 5: 24, 7: 24, 9: 24}             # h -> largest degree
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(h: int, max_m: int, fast: bool = True) -> dict:
+    """{"m": {"canonical": sha256, "reduced": sha256}} for m = 0..max_m."""
+    solver = CanonicalBasis(h, fast=fast)
+    return {str(m): {"canonical": _digest(solver.matrix(m).to_json()),
+                     "reduced": _digest(reduced_matrix(h, m, solver).to_json())}
+            for m in range(max_m + 1)}
+
+
+@pytest.mark.parametrize("h", sorted(GRID))
+def test_digests_match_corpus(h):
+    frozen = json.loads(CORPUS.read_text())[str(h)]
+    got = digests(h, GRID[h])
+    assert len(frozen) == GRID[h] + 1
+    bad = [m for m in frozen if got[m] != frozen[m]]
+    assert not bad, f"h={h}: output changed at degrees {bad}"
+
+
+if __name__ == "__main__":
+    corpus = {}
+    for h, max_m in sorted(GRID.items()):
+        fast = digests(h, max_m)
+        if fast != digests(h, max_m, fast=False):
+            raise SystemExit(f"h={h}: fast and slow routes disagree")
+        corpus[str(h)] = fast
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")

@@ -67,6 +67,9 @@ class TestOperators:
             for op in (crystal.ftilde, crystal.etilde, crystal.eps, crystal.phi):
                 with pytest.raises(ValueError, match=f"color {i} out of range"):
                     op(h, i, (2,))
+            for op in (crystal.phi_aff, crystal.eps_aff):
+                with pytest.raises(ValueError, match=f"color {i} out of range"):
+                    op(h, i, 2)
 
     def test_rejects_bad_vertex(self):
         with pytest.raises(ValueError):

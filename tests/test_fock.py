@@ -14,6 +14,7 @@ from spinfock.fock import (
     weight,
     norm_squared,
 )
+from spinfock import fock
 from spinfock import partitions as pt
 from spinfock import fixtures as fx
 
@@ -80,6 +81,70 @@ class TestLoweringFixtures:
         for i in range(n + 1):
             assert not apply_e(h, i, vac)
         assert apply_t(h, n, vac) == vac.scaled(LaurentPoly({1: 1}))
+
+
+def _f_reference(h, i, lam):
+    """f_i|lam> built term by term with normal_order, from the defining
+    action: raise a letter of color i, twist the later letters and the
+    vacuum by t_i, (q + 1/q) at the short node on a multiple of h, and for
+    i = n the vacuum term appending a part 1."""
+    from conftest import oracle_residue as res
+    n = pt.rank(h)
+    out = FockVector()
+    for k, j in enumerate(lam):
+        if res(h, j) != i:
+            continue
+        tail = sum((4 if i == 0 else 2) * ((res(h, x) == i) - (res(h, x - 1) == i))
+                   for x in lam[k + 1:]) + (i == n)
+        c = LaurentPoly({tail: 1})
+        if i == n and j % h == 0:
+            c = c * LaurentPoly({1: 1, -1: 1})
+        out = out + normal_order(lam[:k] + (j + 1,) + lam[k + 1:], h).scaled(c)
+    if i == n:
+        out = out + normal_order(lam + (1,), h)
+    return out
+
+
+class TestLocalRule:
+    """The local straightening of f_i against the generic `straighten`.
+
+    The canonical solver's fast and slow routes share the f_i kernel, so
+    test_paths_agree cannot catch a wrong local rule; these tests can.
+    """
+
+    DEGREES = {3: 28, 5: 26, 7: 26}
+
+    @staticmethod
+    def _labels(h):
+        for m in range(TestLocalRule.DEGREES[h] + 1):
+            yield from pt.enumerate_dp_h(h, m)
+
+    @pytest.mark.parametrize("h", [3, 5, 7])
+    def test_raised_letter_matches_straighten(self, h):
+        # every position of every label: each is eligible for its own color
+        for lam in self._labels(h):
+            for k, j in enumerate(lam):
+                want = straighten(lam[:k] + (j + 1,) + lam[k + 1:], h)
+                assert fock._raised(h, lam, k, True) == want, (lam, k)
+
+    @pytest.mark.parametrize("h", [3, 5, 7])
+    def test_apply_f_matches_term_by_term_reference(self, h):
+        for lam in self._labels(h):
+            v = FockVector.basis(lam)
+            for i in range(pt.rank(h) + 1):
+                assert apply_f(h, i, v) == _f_reference(h, i, lam), (lam, i)
+
+    def test_unordered_label_uses_generic_rule(self):
+        # no DP_5 labels: each word goes to straighten, errors included
+        for lam in [(1, 3), (4, 4), (4, 4, 4), (2, 2, 1), (6, 6, 5), (3, 0)]:
+            for i in range(3):
+                try:
+                    want = _f_reference(5, i, lam)
+                except UncoveredDisorderError:
+                    with pytest.raises(UncoveredDisorderError):
+                        apply_f(5, i, FockVector({lam: ONE}))
+                else:
+                    assert apply_f(5, i, FockVector({lam: ONE})) == want, (lam, i)
 
 
 class TestRaising:
