@@ -21,7 +21,6 @@ from .partitions import (
     residue,
     residue_content,
     ladders,
-    hbar_core,
     dominance_leq,
     shift_by_multiple,
     a_h,
@@ -73,7 +72,7 @@ __all__ = [
     "LaurentPoly", "ExactDivisionError", "q_integer", "q_factorial",
     "symmetrize_tail", "InvariantError",
     "enumerate_dp", "enumerate_dp_h", "enumerate_dpr_h", "residue",
-    "residue_content", "ladders", "hbar_core", "dominance_leq",
+    "residue_content", "ladders", "dominance_leq",
     "shift_by_multiple", "a_h", "b_exponent",
     "FockVector", "UncoveredDisorderError", "MixedWeightError",
     "normal_order", "apply_f", "apply_e", "apply_t",

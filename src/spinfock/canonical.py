@@ -154,17 +154,15 @@ class CanonicalBasis:
         pt.check_h(h)
         self.h = h
         self.fast = fast
-        self._columns = {(): FockVector.basis(())}
         self._contents = {}             # label -> residue content
         self._matrices = {0: BasisMatrix(h, 0, ((),), {(): FockVector.basis(())})}
 
     def column(self, mu) -> FockVector:
         mu = pt.check_partition(mu)
-        if mu not in self._columns:
-            self.matrix(sum(mu))
-            if mu not in self._columns:
-                raise ValueError(f"{mu} is not {self.h}-regular")
-        return self._columns[mu]
+        col = self.matrix(sum(mu)).columns.get(mu)
+        if col is None:
+            raise ValueError(f"{mu} is not {self.h}-regular")
+        return col
 
     def matrix(self, m: int) -> BasisMatrix:
         if m < 0:
@@ -220,7 +218,6 @@ class CanonicalBasis:
             self._validate_column(mu, vec, m)
             block.append(mu)
             done[mu] = vec
-            self._columns[mu] = vec
         return BasisMatrix(self.h, m, labels, done)
 
     def _validate_column(self, mu, vec, m):
@@ -296,30 +293,3 @@ def check_basis_matrix(M: BasisMatrix) -> BasisMatrixReport:
                                                   content_of):
             failures.append(BasisCheck(mu, condition, witness))
     return BasisMatrixReport(M.h, M.m, not failures, tuple(failures))
-
-
-def change_of_basis(h: int, m: int, fast: bool = True) -> dict:
-    """Coefficients b[(nu, mu)] with A(mu) = sum_nu b * G(nu).
-
-    Peels canonical labels in increasing lex order: dominance triangularity
-    makes the coefficient at the least remaining label pure.  Raises if the
-    expansion is not unitriangular with b[(mu, mu)] = 1.
-    """
-    solver = CanonicalBasis(h, fast=fast)
-    M = solver.matrix(m)
-    out = {}
-    for mu in M.labels:
-        rem = a_vector(h, mu)
-        for nu in reversed(M.labels):           # increasing lex
-            c = rem.coefficient(nu)
-            if c:
-                if nu < mu:
-                    raise CanonicalBasisError(
-                        f"A({mu}) uses G({nu}) below it in lex order")
-                out[(nu, mu)] = c
-                rem = rem - M.columns[nu].scaled(c)
-        if rem:
-            raise CanonicalBasisError(f"A({mu}) not in the canonical span")
-        if out.get((mu, mu)) != LaurentPoly.one():
-            raise CanonicalBasisError(f"A({mu}) has no unit diagonal")
-    return out

@@ -7,13 +7,14 @@ the infinite tail of u_0's only contributes through the vacuum rules.
 Which letters an action touches, and the q-powers it picks up, all come
 from the one color rule `partitions.residue`.
 
-f_i and its divided powers run one kernel, `_f_raw`, on raw
-{label: {exponent: int}} maps and freeze the result once.  In a DP_h label
-only the raised letter j -> j+1 can break the order, so the kernel
-straightens locally: the new letter bubbles left through the run of equal
-letters j with one -q^2 per swap, and the term vanishes next to an equal
-j+1 that is not a multiple of h (the vacuum term vanishes on a last part
-1).  Any other word, and every word of e_i, goes to the generic
+Every action takes DP_h labels only: each input label is checked once, at
+entry, by `partitions.check_dp_h`.  f_i and its divided powers run one
+kernel, `_f_raw`, on raw {label: {exponent: int}} maps and freeze the
+result once.  In a DP_h label only the raised letter j -> j+1 can break
+the order, so the kernel straightens locally: the new letter bubbles left
+through the run of equal letters j with one -q^2 per swap, and the term
+vanishes next to an equal j+1 that is not a multiple of h (the vacuum term
+vanishes on a last part 1).  Every word of e_i goes to the generic
 `straighten`, which stays the oracle of the local rule.
 """
 
@@ -234,19 +235,16 @@ def _frozen(raw) -> FockVector:
     return out
 
 
-def _raised(h, lam, k, ordered):
+def _raised(h, lam, k):
     """straighten(lam with letter k raised by one), by the local rule.
 
-    In an ordered word (a DP_h label) only the raised letter j+1 can be out
+    lam must be a DP_h label.  Then only the raised letter j+1 can be out
     of order: it bubbles left through the run of equal letters j, one -q^2
     per swap, and the word vanishes if it then sits next to an equal j+1
     that is not a multiple of h.  The run is nonempty only when j repeats,
-    so j = 0 mod h and straighten's swap rule holds.  A word that is not
-    ordered goes to the generic straighten, the oracle of this rule.
+    so j = 0 mod h and straighten's swap rule holds.
     """
     j = lam[k]
-    if not ordered:
-        return straighten(lam[:k] + (j + 1,) + lam[k + 1:], h)
     p = k
     while p and lam[p - 1] == j:
         p -= 1
@@ -261,7 +259,8 @@ def _f_raw(h, i, n, terms) -> dict:
     Term k of the action raises letter k by one and twists every later
     letter (and the vacuum) by t_i; for i = n an extra term appends a part 1
     coming from the vacuum, which vanishes on a last part 1.  Each raised
-    word is normal-ordered by the local rule of `_raised`.
+    word is normal-ordered by the local rule of `_raised`, so every label
+    of `terms` must be a DP_h label.
     """
     hit = [pt.residue(h, j) == i for j in range(h)]
     t_exp = [_t_exp(h, i, j) for j in range(h)]
@@ -271,45 +270,43 @@ def _f_raw(h, i, n, terms) -> dict:
         # suffix[k] = t-exponent collected strictly right of position k
         suffix = [0] * (r + 1)
         suffix[r] = 1 if i == n else 0
-        ordered = not r or lam[-1] > 0
         for k in range(r - 1, -1, -1):
-            j = lam[k]
-            suffix[k] = suffix[k + 1] + t_exp[j % h]
-            if k + 1 < r and (j < lam[k + 1] or (j == lam[k + 1] and j % h)):
-                ordered = False
+            suffix[k] = suffix[k + 1] + t_exp[lam[k] % h]
         for k, j in enumerate(lam):
             if hit[j % h]:
-                _add_term(out, _raised(h, lam, k, ordered), c,
+                _add_term(out, _raised(h, lam, k), c,
                           suffix[k + 1], i == n and j % h == 0)
-        if i == n:
-            if not ordered:
-                _add_term(out, straighten(lam + (1,), h), c, 0, False)
-            elif not r or lam[-1] != 1:
-                _add_term(out, (lam + (1,), 0), c, 0, False)
+        if i == n and (not r or lam[-1] != 1):
+            _add_term(out, (lam + (1,), 0), c, 0, False)
     return out
+
+
+def _checked(h, v) -> dict:
+    """{label: raw map} of v, every label checked to be a DP_h partition."""
+    return {pt.check_dp_h(h, lam): c._c for lam, c in v.terms()}
 
 
 def apply_f(h: int, i: int, v: FockVector) -> FockVector:
     """Lowering operator f_i: the raw-map kernel `_f_raw`, frozen once.
 
-    Only the raised letter can break the order of a DP_h label, so each
-    term is straightened by a local rule (see `_raised`); `straighten`
-    stays the generic oracle for any other word.
+    Every label of v must be a DP_h partition (ValueError otherwise).  Only
+    the raised letter can then break the order, so each term is
+    straightened by a local rule (see `_raised`).
     """
     n = pt.check_color(h, i)
-    return _frozen(_f_raw(h, i, n, {lam: c._c for lam, c in v.terms()}))
+    return _frozen(_f_raw(h, i, n, _checked(h, v)))
 
 
 def apply_e(h: int, i: int, v: FockVector) -> FockVector:
     """Raising operator e_i; letters left of the acted one pick up 1/t_i."""
     n = pt.check_color(h, i)
     out = {}
-    for lam, c in v.terms():
+    for lam, c in _checked(h, v).items():
         prefix = 0
         for k, j in enumerate(lam):
             if pt.residue(h, j - 1) == i:
                 word = lam[:k] + (j - 1,) + lam[k + 1:]
-                _add_term(out, straighten(word, h), c._c, prefix,
+                _add_term(out, straighten(word, h), c, prefix,
                           i == n and j % h == 0)
             prefix -= _t_exp(h, i, j)
     return _frozen(out)
@@ -320,6 +317,7 @@ def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
     n = pt.check_color(h, i)
     out = {}
     for lam, c in v.terms():
+        pt.check_dp_h(h, lam)
         e = sum(_t_exp(h, i, j) for j in lam) + (1 if i == n else 0)
         out[lam] = c.shifted(-e if inverse else e)
     return FockVector(out)
@@ -335,7 +333,7 @@ def apply_f_divided(h: int, i: int, k: int, v: FockVector) -> FockVector:
     if k < 1:
         raise ValueError("divided power needs k >= 1")
     n = pt.check_color(h, i)
-    raw = {lam: c._c for lam, c in v.terms()}
+    raw = _checked(h, v)
     for _ in range(k):
         raw = _f_raw(h, i, n, raw)
     if k == 1:
@@ -360,9 +358,7 @@ def norm_squared(h: int, lam) -> LaurentPoly:
     Product over part values divisible by h of prod_{i<=mult} (1 - (-q^2)^i);
     vanishes at q = 1 exactly for labels with a repeated part.
     """
-    lam = pt.check_partition(lam)
-    if not pt.in_dp_h(h, lam):
-        raise ValueError(f"{lam} is not a DP_{h} partition")
+    lam = pt.check_dp_h(h, pt.check_partition(lam))
     out = ONE
     mult = {}
     for p in lam:

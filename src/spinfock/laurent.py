@@ -24,14 +24,6 @@ class LaurentPoly:
             self._c = {}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return ONE
-
-    @classmethod
     def const(cls, a: int) -> "LaurentPoly":
         return cls({0: a})
 
@@ -242,7 +234,6 @@ def _coerce(x):
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-Q = LaurentPoly({1: 1})
 
 
 def generator_scale(i: int, n: int) -> int:

@@ -62,6 +62,19 @@ def in_dp_h(h: int, lam) -> bool:
     return True
 
 
+def check_dp_h(h: int, lam) -> tuple:
+    """Return lam as a tuple if it is a DP_h partition as written, else raise.
+
+    Unlike check_partition nothing is canonicalized: zero parts are refused.
+    """
+    check_h(h)
+    lam = tuple(lam)
+    if ((lam and lam[-1] <= 0)
+            or any(a < b or (a == b and a % h) for a, b in zip(lam, lam[1:]))):
+        raise ValueError(f"{lam} is not a DP_{h} partition")
+    return lam
+
+
 def in_dpr_h(h: int, lam) -> bool:
     """The h-regularity condition on consecutive gaps (last part against 0)."""
     check_h(h)
@@ -77,17 +90,8 @@ def in_dpr_h(h: int, lam) -> bool:
 
 
 def partitions(m: int, max_part=None):
-    """All partitions of m, decreasing lex order."""
-    if m < 0:
-        return
-    if max_part is None or max_part > m:
-        max_part = m
-    if m == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in partitions(m - first, first):
-            yield (first,) + rest
+    """All partitions of m, decreasing lex order: DP_1, every part may repeat."""
+    return _dp_h_gen(1, m, m if max_part is None else max_part)
 
 
 def _dp_h_gen(h, rem, bound):
@@ -101,19 +105,10 @@ def _dp_h_gen(h, rem, bound):
 
 
 def enumerate_dp(m: int) -> list:
-    """Strict partitions of m, decreasing lex order."""
+    """Strict partitions of m, decreasing lex: DP_(m+1), no part repeats."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    return list(_strict_gen(m, m))
-
-
-def _strict_gen(rem, bound):
-    if rem == 0:
-        yield ()
-        return
-    for v in range(min(rem, bound), 0, -1):
-        for rest in _strict_gen(rem - v, v - 1):
-            yield (v,) + rest
+    return list(_dp_h_gen(m + 1, m, m))
 
 
 def enumerate_dp_h(h: int, m: int) -> list:
@@ -255,59 +250,6 @@ def a_h(h: int, lam) -> int:
 def b_exponent(lam) -> int:
     """floor((m - length)/2) for a partition of m."""
     return (sum(lam) - len(lam)) // 2
-
-
-def bar_removals(h: int, lam) -> list:
-    """All strict partitions reachable from strict lam by one bar removal.
-
-    Moves: lower a part by h when the result is 0 (drop it) or unused;
-    delete a pair of parts summing to h.
-    """
-    check_h(h)
-    lam = check_partition(lam)
-    if not is_strict(lam):
-        raise ValueError(f"bar removal wants a strict partition, got {lam}")
-    have = set(lam)
-    out = []
-    for x in lam:
-        y = x - h
-        if y == 0 or (y > 0 and y not in have):
-            rest = [p for p in lam if p != x]
-            if y > 0:
-                rest.append(y)
-            out.append(tuple(sorted(rest, reverse=True)))
-    for j, x in enumerate(lam):
-        for y in lam[j + 1:]:
-            if x + y == h:
-                rest = [p for p in lam if p != x and p != y]
-                out.append(tuple(sorted(rest, reverse=True)))
-    seen, uniq = set(), []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return uniq
-
-
-def hbar_core(h: int, lam) -> tuple:
-    """Bar core of a DP_h partition.
-
-    Every part value occurring more than once is removed entirely (all
-    copies); bar removals are then applied to the strict remainder until
-    none is possible.  The result does not depend on the removal order.
-    """
-    lam = check_partition(lam)
-    if not in_dp_h(h, lam):
-        raise ValueError(f"{lam} is not a DP_{h} partition")
-    counts = {}
-    for p in lam:
-        counts[p] = counts.get(p, 0) + 1
-    cur = tuple(p for p in lam if counts[p] == 1)
-    while True:
-        nxt = bar_removals(h, cur)
-        if not nxt:
-            return cur
-        cur = nxt[0]
 
 
 def dominance_leq(lam, mu) -> bool:

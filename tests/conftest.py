@@ -83,6 +83,43 @@ def oracle_plane_ladders(h, lam):
     return sorted(sorted(g) for g in groups.values())
 
 
+def oracle_bar_removals(h, lam):
+    """All strict partitions reachable from strict lam by one h-bar removal.
+
+    Moves: lower a part by h when the result is 0 (drop it) or unused;
+    delete a pair of parts summing to h.  Listed once each, in move order.
+    """
+    have = set(lam)
+    out = []
+    for x in lam:
+        y = x - h
+        if y == 0 or (y > 0 and y not in have):
+            rest = [p for p in lam if p != x] + ([y] if y else [])
+            out.append(tuple(sorted(rest, reverse=True)))
+    for j, x in enumerate(lam):
+        for y in lam[j + 1:]:
+            if x + y == h:
+                out.append(tuple(p for p in lam if p not in (x, y)))
+    return list(dict.fromkeys(out))
+
+
+def oracle_hbar_core(h, lam):
+    """h-bar core of a DP_h partition, the block-purity oracle.
+
+    Every part value occurring more than once is removed entirely (all
+    copies); bar removals are then applied to the strict remainder until
+    none is possible.  The result does not depend on the removal order.
+    Two labels lie in one block (one residue content) iff their cores agree:
+    Morris's conjecture on spin blocks, proved by Humphreys (J. LMS 1986).
+    """
+    cur = tuple(p for p in lam if lam.count(p) == 1)
+    while True:
+        nxt = oracle_bar_removals(h, cur)
+        if not nxt:
+            return cur
+        cur = nxt[0]
+
+
 def oracle_count_odd_parts(p, m):
     """Partitions of m into odd parts not divisible by p, counted directly."""
     def count(rem, largest):

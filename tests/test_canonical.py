@@ -1,6 +1,6 @@
 import pytest
 
-from spinfock.laurent import LaurentPoly, ONE, Q
+from spinfock.laurent import LaurentPoly, ONE
 from spinfock.fock import FockVector
 from spinfock import partitions as pt
 from spinfock import crystal
@@ -12,8 +12,8 @@ from spinfock.canonical import (
     a_vector,
     canonical_basis,
     check_basis_matrix,
-    change_of_basis,
 )
+from conftest import oracle_hbar_core
 
 
 def vec(data):
@@ -90,6 +90,17 @@ class TestMatrixChecks:
             rep = check_basis_matrix(solver.matrix(m))
             assert rep.ok, str(rep)
 
+    @pytest.mark.parametrize("h,max_m", [(3, 16), (5, 16), (7, 18)])
+    def test_columns_lie_in_one_bar_core_class(self, h, max_m):
+        # block purity against the independent bar-core oracle, not the
+        # residue contents that the solver itself checks
+        solver = CanonicalBasis(h)
+        for m in range(max_m + 1):
+            M = solver.matrix(m)
+            for mu in M.labels:
+                cores = {oracle_hbar_core(h, lam) for lam in M.column(mu).support()}
+                assert cores == {oracle_hbar_core(h, mu)}, (m, mu)
+
     def test_column_count_matches_crystal(self):
         graph = crystal.component(3, (), 12)
         solver = CanonicalBasis(3)
@@ -127,7 +138,8 @@ class TestMatrixChecks:
     def test_solver_rejects_bad_column(self):
         solver = CanonicalBasis(3)
         mu = (4, 2, 1)
-        broken = solver.column(mu) + FockVector.basis((3, 3, 1), Q)
+        q = LaurentPoly({1: 1})
+        broken = solver.column(mu) + FockVector.basis((3, 3, 1), q)
         with pytest.raises(CanonicalBasisError,
                            match=r"column \(4, 2, 1\): triangular \(\(3, 3, 1\)\)"):
             solver._validate_column(mu, broken, 7)
@@ -150,18 +162,39 @@ class TestFastSlow:
             assert fast.matrix(m) == slow.matrix(m)
 
 
+def change_of_basis(h, m):
+    """b[(nu, mu)] with A(mu) = sum_nu b G(nu), from the public API.
+
+    Peels canonical labels in increasing lex order: dominance triangularity
+    makes the coefficient at the least remaining label pure.
+    """
+    M = canonical_basis(h, m)
+    out = {}
+    for mu in M.labels:
+        rem = a_vector(h, mu)
+        for nu in reversed(M.labels):           # increasing lex
+            c = rem.coefficient(nu)
+            if c:
+                out[(nu, mu)] = c
+                rem = rem - M.column(nu).scaled(c)
+        assert not rem, f"A({mu}) is not in the canonical span"
+    return out
+
+
 class TestChangeOfBasis:
     @pytest.mark.parametrize("m", range(0, 11))
     def test_unitriangular(self, m):
         b = change_of_basis(3, m)
+        for mu in canonical_basis(3, m).labels:
+            assert b[(mu, mu)] == ONE
         for (nu, mu), c in b.items():
             assert nu >= mu
-            if nu == mu:
-                assert c == ONE
+            assert c.bar() == c             # A and G are both bar-invariant
 
     def test_degree9_single_correction(self):
-        b = change_of_basis(3, 9)
-        assert b[((5, 3, 1), (3, 3, 2, 1))] == ONE
+        M = canonical_basis(3, 9)
+        assert a_vector(3, (3, 3, 2, 1)) == (M.column((3, 3, 2, 1))
+                                             + M.column((5, 3, 1)))
 
 
 class TestSerialization:

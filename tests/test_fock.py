@@ -125,7 +125,7 @@ class TestLocalRule:
         for lam in self._labels(h):
             for k, j in enumerate(lam):
                 want = straighten(lam[:k] + (j + 1,) + lam[k + 1:], h)
-                assert fock._raised(h, lam, k, True) == want, (lam, k)
+                assert fock._raised(h, lam, k) == want, (lam, k)
 
     @pytest.mark.parametrize("h", [3, 5, 7])
     def test_apply_f_matches_term_by_term_reference(self, h):
@@ -134,17 +134,17 @@ class TestLocalRule:
             for i in range(pt.rank(h) + 1):
                 assert apply_f(h, i, v) == _f_reference(h, i, lam), (lam, i)
 
-    def test_unordered_label_uses_generic_rule(self):
-        # no DP_5 labels: each word goes to straighten, errors included
+    def test_non_dp_h_label_rejected(self):
+        # the local rule needs DP_5 labels; every action refuses any other
+        # word at entry instead of straightening it
+        actions = [apply_f, apply_e, apply_t,
+                   lambda h, i, v: apply_f_divided(h, i, 2, v)]
         for lam in [(1, 3), (4, 4), (4, 4, 4), (2, 2, 1), (6, 6, 5), (3, 0)]:
+            v = FockVector({lam: ONE, (5, 4, 2): ONE})
             for i in range(3):
-                try:
-                    want = _f_reference(5, i, lam)
-                except UncoveredDisorderError:
-                    with pytest.raises(UncoveredDisorderError):
-                        apply_f(5, i, FockVector({lam: ONE}))
-                else:
-                    assert apply_f(5, i, FockVector({lam: ONE})) == want, (lam, i)
+                for act in actions:
+                    with pytest.raises(ValueError, match="is not a DP_5 partition"):
+                        act(5, i, v)
 
 
 class TestRaising:

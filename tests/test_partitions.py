@@ -7,6 +7,8 @@ from conftest import (
     oracle_is_dpr_h,
     oracle_residue,
     oracle_plane_ladders,
+    oracle_bar_removals,
+    oracle_hbar_core,
 )
 
 
@@ -14,6 +16,15 @@ class TestValidation:
     def test_canonical_form(self):
         assert pt.check_partition([5, 4, 1, 0, 0]) == (5, 4, 1)
         assert pt.check_partition([]) == ()
+
+    def test_check_dp_h(self):
+        assert pt.check_dp_h(5, [10, 10, 4]) == (10, 10, 4)
+        assert pt.check_dp_h(3, ()) == ()
+        for lam in [(1, 3), (4, 4), (3, 0), (0,), (2, -1)]:
+            with pytest.raises(ValueError, match="is not a DP_5 partition"):
+                pt.check_dp_h(5, lam)
+        with pytest.raises(ValueError, match="modulus"):
+            pt.check_dp_h(4, (1,))
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
@@ -184,24 +195,26 @@ class TestExponents:
 
 
 class TestBarCores:
+    """The conftest bar-core oracle that checks block purity elsewhere."""
+
     def test_examples(self):
-        assert pt.hbar_core(3, (3, 3, 3, 1)) == (1,)
-        assert pt.hbar_core(3, (5, 3, 2)) == (5, 2)
-        assert pt.hbar_core(3, ()) == ()
+        assert oracle_hbar_core(3, (3, 3, 3, 1)) == (1,)
+        assert oracle_hbar_core(3, (5, 3, 2)) == (5, 2)
+        assert oracle_hbar_core(3, ()) == ()
 
     def test_block_mates(self):
-        assert pt.hbar_core(3, (3, 3, 3, 1)) == pt.hbar_core(3, (5, 4, 1))
-        assert pt.hbar_core(3, (5, 3, 2)) == pt.hbar_core(3, (8, 2))
+        assert oracle_hbar_core(3, (3, 3, 3, 1)) == oracle_hbar_core(3, (5, 4, 1))
+        assert oracle_hbar_core(3, (5, 3, 2)) == oracle_hbar_core(3, (8, 2))
 
     @pytest.mark.parametrize("h", [3, 5, 7])
     def test_confluence_random_orders(self, h, rng):
         for m in range(0, 17):
             for lam in pt.enumerate_dp(m):
-                canonical = pt.hbar_core(h, lam)
+                canonical = oracle_hbar_core(h, lam)
                 for _ in range(4):
                     cur = lam
                     while True:
-                        opts = pt.bar_removals(h, cur)
+                        opts = oracle_bar_removals(h, cur)
                         if not opts:
                             break
                         cur = opts[rng.randrange(len(opts))]
@@ -209,14 +222,15 @@ class TestBarCores:
 
     @pytest.mark.parametrize("h", [3, 5, 7])
     def test_core_determines_content(self, h):
-        for m in range(0, 17):
-            strict = pt.enumerate_dp(m)
-            for lam in strict:
-                for mu in strict:
-                    same_core = pt.hbar_core(h, lam) == pt.hbar_core(h, mu)
-                    same_content = (pt.residue_content(h, lam)
-                                    == pt.residue_content(h, mu))
-                    assert same_core == same_content
+        # every DP_h label, repeated parts included: within one degree the
+        # cores and the residue contents pair off one to one
+        for m in range(0, 25):
+            core_of, content_of = {}, {}
+            for lam in pt.enumerate_dp_h(h, m):
+                core = oracle_hbar_core(h, lam)
+                content = pt.residue_content(h, lam)
+                assert core_of.setdefault(content, core) == core, lam
+                assert content_of.setdefault(core, content) == content, lam
 
 
 class TestOrders:

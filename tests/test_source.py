@@ -1,4 +1,5 @@
-"""Whole-source guards: checks that survive `python -O`, and a tracer that installs."""
+"""Whole-source guards: checks that survive `python -O`, exports that match,
+and a tracer that installs."""
 
 from __future__ import annotations
 
@@ -20,6 +21,16 @@ def test_no_assert_in_package():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert PACKAGE.is_dir()
     assert not found
+
+
+def test_all_lists_exactly_the_imported_names():
+    # __all__ and the imports of __init__ are kept by hand; they must not drift
+    import spinfock
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(spinfock.__all__) == len(set(spinfock.__all__))
+    assert set(spinfock.__all__) == set(imported) | {"__version__"}
 
 
 def test_perfbench_tracer_installs():
