@@ -48,11 +48,11 @@ class CanonicalBasisError(RuntimeError):
 
 def a_vector(h: int, mu) -> FockVector:
     """Intermediate vector: the full ladder monomial applied to the vacuum."""
-    mu = pt.check_partition(mu)
-    if not pt.in_dpr_h(h, mu):
-        raise ValueError(f"{mu} is not {h}-regular")
+    dec = pt.ladders(h, mu)                 # the DP_h check of mu
+    if not pt.in_dpr_h(h, dec.partition):
+        raise ValueError(f"{dec.partition} is not {h}-regular")
     v = FockVector.basis(())
-    for res, cnt in pt.ladders(h, mu).steps:
+    for res, cnt in dec.steps:
         v = apply_f_divided(h, res, cnt, v)
     return v
 
@@ -145,7 +145,7 @@ class BasisMatrix:
 class CanonicalBasis:
     """Degree-by-degree solver with a column cache.
 
-    The fast intermediate basis is the default; slow=True rebuilds every
+    The fast intermediate basis is the default; fast=False rebuilds every
     intermediate vector from the vacuum, which is the independent route used
     for cross-validation.
     """
@@ -158,7 +158,7 @@ class CanonicalBasis:
         self._matrices = {0: BasisMatrix(h, 0, ((),), {(): FockVector.basis(())})}
 
     def column(self, mu) -> FockVector:
-        mu = pt.check_partition(mu)
+        mu = pt.check_dp_h(self.h, mu)
         col = self.matrix(sum(mu)).columns.get(mu)
         if col is None:
             raise ValueError(f"{mu} is not {self.h}-regular")
@@ -253,9 +253,9 @@ def column_failures(mu, vec, m, content_of):
             yield "block-purity", f"{lam}"
 
 
-def canonical_basis(h: int, m: int, fast: bool = True) -> BasisMatrix:
+def canonical_basis(h: int, m: int) -> BasisMatrix:
     """Canonical basis matrix at degree m (convenience wrapper)."""
-    return CanonicalBasis(h, fast=fast).matrix(m)
+    return CanonicalBasis(h).matrix(m)
 
 
 @dataclass(frozen=True)

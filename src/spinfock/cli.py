@@ -60,12 +60,8 @@ def _emit_matrix(M, fmt) -> int:
 
 def cmd_crystal(args) -> int:
     h = _modulus(args)
-    start = pt.parse_partition(args.start) if args.start else ()
-    if not pt.in_dp_h(h, start):
-        print(f"error: start vertex {start} is not valid for h={h}",
-              file=sys.stderr)
-        return USAGE_ERROR
-    graph = crystal.component(h, start, args.max_degree)
+    graph = crystal.component(h, pt.parse_partition(args.start),
+                              args.max_degree)
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
     else:
@@ -87,10 +83,8 @@ def cmd_decomp(args) -> int:
 def cmd_ladders(args) -> int:
     h = _modulus(args)
     lam = pt.parse_partition(args.partition)
-    if not lam or not pt.in_dp_h(h, lam):
-        print(f"error: {lam} is not a nonempty DP_{h} partition",
-              file=sys.stderr)
-        return USAGE_ERROR
+    if not lam:
+        raise ValueError("empty partition has no ladders")
     dec = pt.ladders(h, lam)
     if args.format == "json":
         _emit_json({

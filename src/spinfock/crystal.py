@@ -48,13 +48,6 @@ def eps_aff(h: int, i: int, j: int) -> int:
     return _eps(h, i, j)
 
 
-def _check_vertex(h, lam):
-    lam = pt.check_partition(lam)
-    if not pt.in_dp_h(h, lam):
-        raise ValueError(f"{lam} is not a crystal vertex for h={h}")
-    return lam
-
-
 def _suffix_stats(h, i, lam):
     """(letters, stats): letters[k] = (eps, phi) of the letter lam[k] and
     stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""
@@ -72,19 +65,19 @@ def _suffix_stats(h, i, lam):
 
 def eps(h: int, i: int, lam) -> int:
     """Length of the backward i-string through a vertex."""
-    lam = _check_vertex(h, lam)
+    lam = pt.check_dp_h(h, lam)
     return _suffix_stats(h, i, lam)[1][0][0]
 
 
 def phi(h: int, i: int, lam) -> int:
     """Length of the forward i-string through a vertex."""
-    lam = _check_vertex(h, lam)
+    lam = pt.check_dp_h(h, lam)
     return _suffix_stats(h, i, lam)[1][0][1]
 
 
 def ftilde(h: int, i: int, lam):
     """Lowering crystal operator; None when it kills the vertex."""
-    lam = _check_vertex(h, lam)
+    lam = pt.check_dp_h(h, lam)
     letters, stats = _suffix_stats(h, i, lam)
     for k, part in enumerate(lam):
         ea, pa = letters[k]
@@ -98,7 +91,7 @@ def ftilde(h: int, i: int, lam):
 
 def etilde(h: int, i: int, lam):
     """Raising crystal operator, the partial inverse of ftilde."""
-    lam = _check_vertex(h, lam)
+    lam = pt.check_dp_h(h, lam)
     letters, stats = _suffix_stats(h, i, lam)
     for k, part in enumerate(lam):
         if letters[k][0] > stats[k + 1][1]:
@@ -157,7 +150,7 @@ def _sorted_vertices(vs):
 
 def component(h: int, start, max_degree: int) -> CrystalGraph:
     """All vertices reachable from `start` by lowering, up to max_degree."""
-    start = _check_vertex(h, start)
+    start = pt.check_dp_h(h, start)
     n = pt.rank(h)
     seen = {start}
     edges = []

@@ -59,7 +59,8 @@ class FockVector:
 
     @classmethod
     def basis(cls, lam, coeff: LaurentPoly = ONE) -> "FockVector":
-        return cls({pt.check_partition(lam): coeff})
+        """The vector coeff|lam>; the label is kept as written, unchecked."""
+        return cls({tuple(lam): coeff})
 
     def terms(self):
         return self._terms.items()
@@ -132,13 +133,6 @@ class FockVector:
                 for lam, poly in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FockVector":
-        return cls({
-            tuple(t["partition"]): LaurentPoly.from_json(t["poly"])
-            for t in obj["terms"]
-        })
 
     def __repr__(self):
         body = " + ".join(f"({poly})|{','.join(map(str, lam))}>"
@@ -358,7 +352,7 @@ def norm_squared(h: int, lam) -> LaurentPoly:
     Product over part values divisible by h of prod_{i<=mult} (1 - (-q^2)^i);
     vanishes at q = 1 exactly for labels with a repeated part.
     """
-    lam = pt.check_dp_h(h, pt.check_partition(lam))
+    lam = pt.check_dp_h(h, lam)
     out = ONE
     mult = {}
     for p in lam:

@@ -239,7 +239,7 @@ ONE = LaurentPoly({0: 1})
 def generator_scale(i: int, n: int) -> int:
     """Exponent d with q_i = q**d: 1 for the short node i=n, 4 for i=0, else 2."""
     if not 0 <= i <= n:
-        raise ValueError(f"node index {i} out of range 0..{n}")
+        raise ValueError(f"color {i} out of range 0..{n}")
     if i == n:
         return 1
     if i == 0:

@@ -53,19 +53,12 @@ def is_strict(lam) -> bool:
     return len(set(lam)) == len(lam)
 
 
-def in_dp_h(h: int, lam) -> bool:
-    """Repeated parts only among multiples of h."""
-    check_h(h)
-    for i in range(len(lam) - 1):
-        if lam[i] == lam[i + 1] and lam[i] % h != 0:
-            return False
-    return True
-
-
 def check_dp_h(h: int, lam) -> tuple:
     """Return lam as a tuple if it is a DP_h partition as written, else raise.
 
-    Unlike check_partition nothing is canonicalized: zero parts are refused.
+    The one DP_h check of the package: every public function taking a label
+    calls it once, at entry.  Unlike check_partition nothing is
+    canonicalized: an unsorted label or a zero part is refused.
     """
     check_h(h)
     lam = tuple(lam)
@@ -191,9 +184,7 @@ class LadderDecomposition:
 
 def ladders(h: int, lam) -> LadderDecomposition:
     """Peel a DP_h partition into its ladders."""
-    lam = check_partition(lam)
-    if not in_dp_h(h, lam):
-        raise ValueError(f"{lam} has a repeated part not divisible by {h}")
+    lam = check_dp_h(h, lam)
     found = {}
     for k, part in enumerate(lam, start=1):
         for c in range(part):
@@ -219,10 +210,10 @@ def remove_outer_ladder(h: int, lam) -> tuple:
     The removed cells must form row suffixes, otherwise the input was not a
     valid DP_h shape for this operation.
     """
-    lam = check_partition(lam)
+    dec = ladders(h, lam)
+    lam = dec.partition
     if not lam:
         raise ValueError("empty partition has no ladders")
-    dec = ladders(h, lam)
     top = dec.indices[-1]
     res, _ = dec.steps[-1]
     removed = {}

@@ -48,7 +48,7 @@ class TestCrystalCommand:
         code, _, err = run(capsys, "crystal", "--n", "1", "--start", "2,2",
                            "--max-degree", "4")
         assert code == 2
-        assert "not valid" in err
+        assert "is not a DP_3 partition" in err
 
 
 class TestCanonicalCommand:
@@ -135,6 +135,15 @@ class TestLaddersCommand:
     def test_invalid_partition(self, capsys):
         code, _, err = run(capsys, "ladders", "--n", "1", "--partition", "2,2")
         assert code == 2
+
+    def test_label_errors_share_check_dp_h(self, capsys):
+        for argv in (["crystal", "--start", "2,2", "--max-degree", "4"],
+                     ["ladders", "--partition", "2,2"]):
+            code, out, err = run(capsys, *argv, "--n", "1")
+            assert (code, out, err) == (
+                2, "", "error: (2, 2) is not a DP_3 partition\n")
+        code, _, err = run(capsys, "ladders", "--n", "1", "--partition", "()")
+        assert (code, err) == (2, "error: empty partition has no ladders\n")
 
 
 class TestVerifyCommand:

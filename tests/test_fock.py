@@ -285,12 +285,16 @@ class TestNorm:
 
 
 class TestVectorApi:
-    def test_json_roundtrip(self):
+    def test_to_json(self):
         v = vec(fx.F2_ON_542)
-        obj = v.to_json()
-        assert obj["degree"] == 12
-        assert obj["terms"][0]["partition"] == [6, 4, 2]
-        assert FockVector.from_json(obj) == v
+        assert v.to_json() == {"degree": 12, "terms": [
+            {"partition": [6, 4, 2], "poly": {"2": 1, "4": 1}},
+            {"partition": [5, 5, 2], "poly": {"1": 1}},
+            {"partition": [5, 4, 2, 1], "poly": {"0": 1}},
+        ]}
+
+    def test_basis_keeps_label_as_written(self):
+        assert FockVector.basis((3, 0)) == FockVector({(3, 0): ONE})
 
     def test_degree_checks(self):
         assert FockVector.zero().degree() is None

@@ -75,6 +75,8 @@ class TestQuantumIntegers:
         for n in (1, 2, 3):
             for i in range(n + 1):
                 assert q_integer(1, i, n) == ONE
+        with pytest.raises(ValueError, match="color 3 out of range"):
+            q_integer(2, 3, 1)
 
     def test_two_at_short_node(self):
         assert q_integer(2, 2, 2) == poly({1: 1, -1: 1})

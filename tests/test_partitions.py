@@ -1,6 +1,10 @@
 import pytest
 
 from spinfock import partitions as pt
+from spinfock import crystal
+from spinfock.canonical import CanonicalBasis, a_vector
+from spinfock.fock import (FockVector, apply_e, apply_f, apply_f_divided,
+                           apply_t, norm_squared)
 from conftest import (
     brute_partitions,
     oracle_is_dp_h,
@@ -25,6 +29,29 @@ class TestValidation:
                 pt.check_dp_h(5, lam)
         with pytest.raises(ValueError, match="modulus"):
             pt.check_dp_h(4, (1,))
+
+    @pytest.mark.parametrize("lam", [(1, 3), (4, 4), (3, 0)])
+    def test_every_label_entry_point_uses_check_dp_h(self, lam):
+        # one gate, one message: no entry point sorts, trims or re-words
+        entry_points = [
+            lambda: crystal.ftilde(5, 0, lam),
+            lambda: crystal.etilde(5, 0, lam),
+            lambda: crystal.eps(5, 0, lam),
+            lambda: crystal.phi(5, 0, lam),
+            lambda: crystal.component(5, lam, 10),
+            lambda: pt.ladders(5, lam),
+            lambda: pt.remove_outer_ladder(5, lam),
+            lambda: a_vector(5, lam),
+            lambda: CanonicalBasis(5).column(lam),
+            lambda: norm_squared(5, lam),
+            lambda: apply_f(5, 0, FockVector.basis(lam)),
+            lambda: apply_e(5, 0, FockVector.basis(lam)),
+            lambda: apply_t(5, 0, FockVector.basis(lam)),
+            lambda: apply_f_divided(5, 0, 2, FockVector.basis(lam)),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match="is not a DP_5 partition"):
+                call()
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
@@ -266,7 +293,8 @@ class TestShift:
     def test_lands_in_dp_h(self):
         for lam in pt.enumerate_dpr_h(3, 8):
             for mu in pt.partitions(3):
-                assert pt.in_dp_h(3, pt.shift_by_multiple(3, lam, mu))
+                shifted = pt.shift_by_multiple(3, lam, mu)
+                assert pt.check_dp_h(3, shifted) == shifted
 
 
 class TestParsing:
