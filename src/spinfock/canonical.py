@@ -159,10 +159,9 @@ class CanonicalBasis:
 
     def column(self, mu) -> FockVector:
         mu = pt.check_dp_h(self.h, mu)
-        col = self.matrix(sum(mu)).columns.get(mu)
-        if col is None:
+        if not pt.in_dpr_h(self.h, mu):
             raise ValueError(f"{mu} is not {self.h}-regular")
-        return col
+        return self.matrix(sum(mu)).columns[mu]
 
     def matrix(self, m: int) -> BasisMatrix:
         if m < 0:

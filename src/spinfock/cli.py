@@ -6,14 +6,16 @@ inexact divided power, an unstraightenable wedge word or an inconsistent
 ladder or crystal string).  Output is deterministic.  canonical and decomp
 emit their matrix through one path, _emit_matrix, as an aligned table, CSV
 or JSON; canonical hands it only the solved matrix, so the solver and its
-lower degrees are freed before serialisation.
+lower degrees are freed before serialisation.  All JSON goes through one
+writer, _emit_json, not json.dump: exactly json.dumps(obj, indent=2) and a
+newline, the outer two levels written in pieces, never as one string.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import partitions as pt
 from . import crystal
@@ -42,8 +44,47 @@ def _modulus(args) -> int:
     return h
 
 
+_STREAMED_LEVELS = 2    # containers this near the root are written in pieces
+
+
+def _json_text(obj, pad):
+    """json.dumps(obj, indent=2) for a value on a line opened by `pad`."""
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
+    ipad = pad + "  "
+    if isinstance(obj, list):
+        body = [_json_text(v, ipad) for v in obj]
+        return "[" + ipad + ("," + ipad).join(body) + pad + "]" if body else "[]"
+    if isinstance(obj, dict):
+        body = [_json_str(k) + ": " + _json_text(v, ipad)
+                for k, v in obj.items()]
+        return "{" + ipad + ("," + ipad).join(body) + pad + "}" if body else "{}"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _write_json(obj, pad, levels):
+    """Write _json_text(obj, pad), the outer `levels` containers in pieces."""
+    if not levels or not obj or not isinstance(obj, (list, dict)):
+        return sys.stdout.write(_json_text(obj, pad))
+    is_dict = isinstance(obj, dict)
+    ipad = pad + "  "
+    sep = "{" if is_dict else "["
+    for k, v in obj.items() if is_dict else enumerate(obj):
+        sys.stdout.write(sep + ipad + (_json_str(k) + ": " if is_dict else ""))
+        _write_json(v, ipad, levels - 1)
+        sep = ","
+    sys.stdout.write(pad + ("}" if is_dict else "]"))
+
+
 def _emit_json(obj):
-    json.dump(obj, sys.stdout, indent=2)
+    """Print json.dumps(obj, indent=2) for a tree of str-keyed dicts, lists,
+    str, int, bool and None; anything else raises TypeError (for a key, in
+    _json_str)."""
+    _write_json(obj, "\n", _STREAMED_LEVELS)
     sys.stdout.write("\n")
 
 

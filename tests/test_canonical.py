@@ -42,6 +42,14 @@ class TestIntermediateVectors:
 
 
 class TestCanonicalColumns:
+    def test_irregular_label_refused_before_solving(self, monkeypatch):
+        def unsolvable(self, m):
+            raise AssertionError(f"degree {m} solved for an irregular label")
+
+        monkeypatch.setattr(CanonicalBasis, "_solve_degree", unsolvable)
+        with pytest.raises(ValueError, match="is not 3-regular"):
+            CanonicalBasis(3).column((15, 15))
+
     def test_degree9(self):
         M = canonical_basis(3, 9)
         assert M.column((3, 3, 2, 1)) == vec(fx.G_3321_H3)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from spinfock.cli import main
+from spinfock import crystal, modular
+from spinfock.canonical import CanonicalBasis
+from spinfock.cli import _emit_json, main
 
 
 def run(capsys, *argv):
@@ -223,3 +228,62 @@ class TestDeterminism:
         _, out2, _ = run(capsys, "crystal", "--n", "2", "--max-degree", "6",
                          "--format", "dot")
         assert out1 == out2
+
+
+TRICKY_TEXT = st.sampled_from(
+    ["", 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "é ß ∞ 😀", "\ud800"])
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10**40, max_value=10**40)
+    | st.text() | TRICKY_TEXT,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=5) | TRICKY_TEXT, kids, max_size=4),
+    max_leaves=40)
+
+
+def emitted(obj):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_json(obj)
+    return buf.getvalue()
+
+
+class TestJsonWriter:
+    @given(JSON_TREES)
+    @example([[], {}, [[]], {"a": {}}, [{"": []}]])
+    @example({"n": [-1, 0, 10**30, True, False, None], 'k"\\\n': "\x01é"})
+    def test_matches_json_dumps_indent_2(self, obj):
+        assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        (1, 2), 1.5, {1: "int key"}, {"deep": [[{"a": (1,)}]]},
+    ])
+    def test_rejects_types_outside_its_domain(self, obj):
+        with pytest.raises(TypeError):
+            emitted(obj)
+
+
+class TestJsonLayout:
+    """Each JSON-printing command prints json.dumps(obj, indent=2) and "\\n"."""
+
+    @pytest.mark.parametrize("argv, build", [
+        (("canonical", "--n", "1", "--m", "12"),
+         lambda: CanonicalBasis(3).matrix(12).to_json()),
+        (("decomp", "--n", "1", "--m", "12"),
+         lambda: modular.reduced_matrix(3, 12).to_json()),
+        (("crystal", "--n", "1", "--start", "3", "--max-degree", "12"),
+         lambda: crystal.component(3, (3,), 12).to_json()),
+    ])
+    def test_matches_to_json(self, capsys, argv, build):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(build(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("ladders", "--n", "1", "--partition", "3321", "--format", "json"),
+        ("verify", "--suite", "paper"),
+    ])
+    def test_matches_parsed_output(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
