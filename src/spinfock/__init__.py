@@ -8,6 +8,7 @@ reduced decomposition matrices in odd characteristic.
 
 from .laurent import (
     LaurentPoly,
+    CoefficientBoundError,
     ExactDivisionError,
     q_integer,
     q_factorial,
@@ -69,7 +70,8 @@ from .modular import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentPoly", "ExactDivisionError", "q_integer", "q_factorial",
+    "LaurentPoly", "CoefficientBoundError", "ExactDivisionError",
+    "q_integer", "q_factorial",
     "symmetrize_tail", "InvariantError",
     "enumerate_dp", "enumerate_dp_h", "enumerate_dpr_h", "residue",
     "residue_content", "ladders", "dominance_leq",

@@ -10,22 +10,33 @@ increasing lex order, symmetrize_tail(coefficient at s) times G(s).  Each
 coefficient at a canonical label is touched exactly once, and the final
 column must be unitriangular with every off-diagonal entry in qZ[q].
 
-The fast route applies f_i^(k) label by label and memoises each image
-f_i^(k)|lam> for one degree only.  A key (i, k, lam) with |lam| = m - k
-yields degree-m vectors, so it never recurs in another degree; a memo
-kept for the solver's lifetime would only hold dead entries and push the
-peak resident set up.  Each column is built in one mutable accumulator
-(laurent.PolyAccumulator) that takes both the intermediate vector's
-linear combination and every scale-and-subtract of the reduction, and is
-frozen into a FockVector once, before the column is validated.  Residue
-contents are cached per label for the solver's lifetime.
+Every coefficient on the solver's path is packed (laurent.pack: the
+triple (e0, x, n) with x the coefficients as balanced base-2^B digits,
+B = laurent.DIGIT_BITS, and n a carried l1 bound).  The fast route applies
+f_i^(k) label by label and memoises each packed image f_i^(k)|lam>
+(fock._f_divided) for one degree only.  A key (i, k, lam) with
+|lam| = m - k yields degree-m vectors, so it never recurs in another
+degree; a memo kept for the solver's lifetime would only hold dead entries
+and push the peak resident set up.  Each column is built in one mutable
+accumulator (laurent.PolyAccumulator) that takes both the intermediate
+vector's linear combination and every scale-and-subtract of the
+reduction, one int product and shift per (label, coefficient) pair;
+symmetrize_tail decodes only the coefficients of the block's earlier
+labels.  The accumulator is frozen once, into a fock.PackedVector, before
+the column is validated.  A column is a FockVector that decodes on read,
+so BasisMatrix serves LaurentPoly entries and the CLI decodes only the
+degree it prints.  A carried bound that reaches 2^(B-1) raises
+CoefficientBoundError (never a guess) naming h, m, the column and the
+row.  Residue contents are cached per label for the solver's lifetime.
 
 One generator, column_failures, states the five column conditions: the
 solver raises on the first failure of each new column, check_basis_matrix
-reports every failure of a finished matrix.  Its triangularity check reads
-each row's running sums against the partial sums of the column label,
-computed once per column, rather than calling partitions.dominance_leq
-per row.  render_table and render_csv also render modular.ReducedMatrix.
+reports every failure of a finished matrix.  Its integrality checks read
+each entry's least exponent (a packed entry's e0), and its triangularity
+check reads each row's running sums against the partial sums of the
+column label, computed once per column, rather than calling
+partitions.dominance_leq per row.  render_table and render_csv also render
+modular.ReducedMatrix.
 """
 
 from __future__ import annotations
@@ -37,8 +48,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import ge
 
-from .laurent import LaurentPoly, ONE, PolyAccumulator, symmetrize_tail
-from .fock import FockVector, apply_f_divided
+from .laurent import (CoefficientBoundError, LaurentPoly, ONE, PolyAccumulator,
+                      pack, symmetrize_tail)
+from .fock import UNIT, FockVector, PackedVector, _f_divided, apply_f_divided
 from . import partitions as pt
 
 
@@ -155,7 +167,7 @@ class CanonicalBasis:
         self.h = h
         self.fast = fast
         self._contents = {}             # label -> residue content
-        self._matrices = {0: BasisMatrix(h, 0, ((),), {(): FockVector.basis(())})}
+        self._matrices = {0: BasisMatrix(h, 0, ((),), {(): PackedVector({(): UNIT})})}
 
     def column(self, mu) -> FockVector:
         mu = pt.check_dp_h(self.h, mu)
@@ -188,16 +200,17 @@ class CanonicalBasis:
         """
         acc = PolyAccumulator()
         if not self.fast:
-            acc.add_scaled(ONE, a_vector(self.h, mu).terms())
+            acc.add_scaled(UNIT, [(lam, pack(c)) for lam, c
+                                  in a_vector(self.h, mu).terms()])
             return acc
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
-        for lam, c in self.column(nu).terms():
+        n = pt.rank(self.h)
+        for lam, c in self.column(nu).packed.items():
             key = (res, cnt, lam)
             image = memo.get(key)
             if image is None:
-                image = memo[key] = apply_f_divided(
-                    self.h, res, cnt, FockVector.basis(lam))
-            acc.add_scaled(c, image.terms())
+                image = memo[key] = _f_divided(self.h, res, n, cnt, lam).items()
+            acc.add_scaled(c, image)
         return acc
 
     def _solve_degree(self, m: int) -> BasisMatrix:
@@ -205,18 +218,22 @@ class CanonicalBasis:
         memo = {}                               # dropped with this degree
         blocks = {}                             # content -> labels done
         done = {}
-        for mu in labels:                       # decreasing lex
-            content = self._residue_content(mu)
-            block = blocks.setdefault(content, [])
-            acc = self._intermediate(mu, memo)
-            for s in reversed(block):           # lex-greater, increasing lex
-                gamma = symmetrize_tail(acc.coefficient(s))
-                if gamma:
-                    acc.add_scaled(-gamma, done[s].terms())
-            vec = FockVector(acc.freeze())
-            self._validate_column(mu, vec, m)
-            block.append(mu)
-            done[mu] = vec
+        try:
+            for mu in labels:                   # decreasing lex
+                content = self._residue_content(mu)
+                block = blocks.setdefault(content, [])
+                acc = self._intermediate(mu, memo)
+                for s in reversed(block):       # lex-greater, increasing lex
+                    gamma = symmetrize_tail(acc.coefficient(s))
+                    if gamma:
+                        acc.add_scaled(pack(-gamma), done[s].packed.items())
+                vec = PackedVector(acc.freeze())
+                self._validate_column(mu, vec, m)
+                block.append(mu)
+                done[mu] = vec
+        except CoefficientBoundError as exc:
+            raise CoefficientBoundError(exc.bound, exc.row, f"h={self.h} "
+                                        f"m={m} column {mu}: ") from None
         return BasisMatrix(self.h, m, labels, done)
 
     def _validate_column(self, mu, vec, m):
@@ -241,11 +258,11 @@ def column_failures(mu, vec, m, content_of):
         yield "unit-diagonal", str(diag)
     mu_content = content_of(mu)
     bound = tuple(accumulate(mu))
-    for lam, poly in vec.terms():
-        if not poly.in_z_of_q():
-            yield "integral", f"{lam}: {poly}"
-        if lam != mu and not poly.in_q_z_of_q():
-            yield "lattice-congruence", f"{lam}: {poly}"
+    for lam, low in vec.least_exponents():
+        if low < 0:
+            yield "integral", f"{lam}: {vec.coefficient(lam)}"
+        if lam != mu and low < 1:
+            yield "lattice-congruence", f"{lam}: {vec.coefficient(lam)}"
         if sum(lam) != m or not all(map(ge, accumulate(lam), bound)):
             yield "triangular", f"{lam}"
         if content_of(lam) != mu_content:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (a broken engine invariant: a canonical column failing its checks, an
-inexact divided power, an unstraightenable wedge word or an inconsistent
-ladder or crystal string).  Output is deterministic.  canonical and decomp
+inexact divided power, a packed coefficient past its digit bound, an
+unstraightenable wedge word or an inconsistent ladder or crystal string).  Output is deterministic.  canonical and decomp
 emit their matrix through one path, _emit_matrix, as an aligned table, CSV
 or JSON; canonical hands it only the solved matrix, so the solver and its
 lower degrees are freed before serialisation.  All JSON goes through one
@@ -23,12 +23,13 @@ from . import modular
 from . import verify as vf
 from .canonical import CanonicalBasis, CanonicalBasisError
 from .fock import UncoveredDisorderError
-from .laurent import ExactDivisionError
+from .laurent import CoefficientBoundError, ExactDivisionError
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
-_INTERNAL_ERRORS = (CanonicalBasisError, ExactDivisionError,
-                    UncoveredDisorderError, pt.InvariantError)
+_INTERNAL_ERRORS = (CanonicalBasisError, CoefficientBoundError,
+                    ExactDivisionError, UncoveredDisorderError,
+                    pt.InvariantError)
 
 
 def _add_modulus_args(parser):

@@ -8,19 +8,32 @@ Which letters an action touches, and the q-powers it picks up, all come
 from the one color rule `partitions.residue`.
 
 Every action takes DP_h labels only: each input label is checked once, at
-entry, by `partitions.check_dp_h`.  f_i and its divided powers run one
-kernel, `_f_raw`, on raw {label: {exponent: int}} maps and freeze the
-result once.  In a DP_h label only the raised letter j -> j+1 can break
-the order, so the kernel straightens locally: the new letter bubbles left
-through the run of equal letters j with one -q^2 per swap, and the term
-vanishes next to an equal j+1 that is not a multiple of h (the vacuum term
-vanishes on a last part 1).  Every word of e_i goes to the generic
-`straighten`, which stays the oracle of the local rule.
+entry, by `partitions.check_dp_h`.  f_i runs one kernel, `_f_raw`, on
+packed coefficients {label: (e0, x, n)} (laurent.pack): each term is one
+sign, one shift and, at the short node, one x + (x << 2B).  In a DP_h label
+only the raised letter j -> j+1 can break the order, so the kernel
+straightens locally: the new letter bubbles left through the run of equal
+letters j with one -q^2 per swap, and the term vanishes next to an equal
+j+1 that is not a multiple of h (the vacuum term vanishes on a last part
+1).  Every word of e_i goes to the generic `straighten`, which stays the
+oracle of the local rule.
+
+The public actions pack only a basis label with coefficient 1, decode its
+image, and scale it by the caller's coefficient in LaurentPoly arithmetic,
+so they stay exact for coefficients of any size; apply_f_divided is k
+passes of apply_f and one LaurentPoly.exact_div.  Only the canonical
+solver keeps packed values: `_f_divided` gives f_i^(k)|lam> with [k]_i!
+divided out by one checked integer division, and its columns are
+PackedVectors that decode on read.
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, ZERO, ONE, q_factorial, _pruned
+import functools
+
+from .laurent import (LaurentPoly, ONE, PolyAccumulator, ZERO, _add_cell,
+                      exact_quotient, pack, q_factorial, unpack)
+from . import laurent
 from . import partitions as pt
 
 
@@ -67,7 +80,12 @@ class FockVector:
 
     def sorted_terms(self):
         """(label, coefficient) pairs in decreasing lex order of labels."""
-        return [(lam, self._terms[lam]) for lam in sorted(self._terms, reverse=True)]
+        t = self._terms
+        return [(lam, t[lam]) for lam in sorted(t, reverse=True)]
+
+    def least_exponents(self):
+        """(label, least exponent of its coefficient) pairs."""
+        return [(lam, min(c._c)) for lam, c in self._terms.items()]
 
     def support(self) -> list:
         return sorted(self._terms, reverse=True)
@@ -83,9 +101,6 @@ class FockVector:
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous vector, degrees {sorted(degs)}")
         return degs.pop()
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)
@@ -138,6 +153,38 @@ class FockVector:
         body = " + ".join(f"({poly})|{','.join(map(str, lam))}>"
                           for lam, poly in self.sorted_terms())
         return body or "0"
+
+
+class PackedVector(FockVector):
+    """A FockVector kept as {label: packed (e0, x, n)}: the solver's columns.
+
+    Every read decodes on demand (laurent.unpack), so only the coefficients
+    that are printed or compared are ever unpacked; `packed` feeds the
+    solver's multiply-adds directly, and `least_exponents` reads e0, which
+    is the least exponent because the entries are normalized.
+    """
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed):
+        self.packed = packed
+
+    @property
+    def _terms(self):
+        return {lam: unpack(c, lam) for lam, c in self.packed.items()}
+
+    def coefficient(self, lam) -> LaurentPoly:
+        c = self.packed.get(tuple(lam))
+        return ZERO if c is None else unpack(c, lam)
+
+    def support(self) -> list:
+        return sorted(self.packed, reverse=True)
+
+    def least_exponents(self):
+        return [(lam, c[0]) for lam, c in self.packed.items()]
+
+    def __len__(self):
+        return len(self.packed)
 
 
 def _t_exp(h, i, j):
@@ -197,36 +244,28 @@ def _accumulate(out, key, value):
         out.pop(key, None)
 
 
+UNIT = (0, 1, 1)        # the packed coefficient 1
+
+
 def _add_term(out, res, c, shift, double):
     """out[key] += c q^shift (-q^2)^swaps (q + 1/q if double), res = (key, swaps).
 
-    `out` maps labels to raw {exponent: int} maps and `c` is one such map;
+    `out` maps labels to packed cells and `c` is packed (laurent.pack);
     res None (a vanished word) adds nothing.
     """
     if res is None:
         return
     key, swaps = res
-    d = out.get(key)
-    if d is None:
-        d = out[key] = {}
-    shift += 2 * swaps
-    odd = swaps % 2
-    for e, a in c.items():
-        e += shift
-        if odd:
-            a = -a
-        if double:
-            d[e - 1] = d.get(e - 1, 0) + a
-            d[e + 1] = d.get(e + 1, 0) + a
-        else:
-            d[e] = d.get(e, 0) + a
-
-
-def _frozen(raw) -> FockVector:
-    """The FockVector of {label: raw map}, zero coefficients dropped."""
-    out = FockVector.__new__(FockVector)
-    out._terms = {lam: poly for lam, c in raw.items() if (poly := _pruned(c))}
-    return out
+    e, x, n = c
+    b = laurent.DIGIT_BITS
+    e += shift + 2 * swaps
+    if swaps % 2:
+        x = -x
+    if double:
+        e -= 1
+        x += x << (2 * b)
+        n += n
+    _add_cell(out, key, e, x, n, b)
 
 
 def _raised(h, lam, k):
@@ -248,7 +287,7 @@ def _raised(h, lam, k):
 
 
 def _f_raw(h, i, n, terms) -> dict:
-    """f_i on {label: raw {exponent: int}}; returns a new map of that kind.
+    """f_i on packed {label: (e0, x, n)}; returns a new map of packed cells.
 
     Term k of the action raises letter k by one and twists every later
     letter (and the vacuum) by t_i; for i = n an extra term appends a part 1
@@ -275,35 +314,74 @@ def _f_raw(h, i, n, terms) -> dict:
     return out
 
 
-def _checked(h, v) -> dict:
-    """{label: raw map} of v, every label checked to be a DP_h partition."""
-    return {pt.check_dp_h(h, lam): c._c for lam, c in v.terms()}
+def _e_raw(h, i, n, lam) -> dict:
+    """e_i|lam> as packed cells; letters left of the acted one pick up 1/t_i."""
+    out = {}
+    prefix = 0
+    for k, j in enumerate(lam):
+        if pt.residue(h, j - 1) == i:
+            word = lam[:k] + (j - 1,) + lam[k + 1:]
+            _add_term(out, straighten(word, h), UNIT, prefix,
+                      i == n and j % h == 0)
+        prefix -= _t_exp(h, i, j)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_factorial(k, i, n, bits):
+    """pack([k]_i!) at digit width `bits`; its bound is its exact l1 norm."""
+    return pack(q_factorial(k, i, n))
+
+
+def _f_divided(h, i, n, k, lam) -> dict:
+    """f_i^(k)|lam> for a DP_h label, as {label: packed (e0, x, n)}.
+
+    k kernel passes from the coefficient 1, one freeze (which checks and
+    normalizes every bound), then each coefficient divided by [k]_i! as one
+    checked integer division (laurent.exact_quotient).  The canonical
+    solver's memo holds these images.
+    """
+    raw = {lam: UNIT}
+    for _ in range(k):
+        raw = _f_raw(h, i, n, raw)
+    image = PolyAccumulator(raw).freeze()
+    if k == 1:
+        return image
+    fact = _packed_factorial(k, i, n, laurent.DIGIT_BITS)
+    return {key: exact_quotient(c, fact, key) for key, c in image.items()}
+
+
+def _act(h, v, image) -> FockVector:
+    """sum of c * image(lam) over the terms c|lam> of v.
+
+    Every label of v is checked to be a DP_h partition first.  `image` acts
+    on one label with coefficient 1 and returns packed cells, so a caller's
+    coefficients never enter the packing: each image is decoded and scaled
+    by exact LaurentPoly arithmetic, whatever the size of c.
+    """
+    terms = [(pt.check_dp_h(h, lam), c) for lam, c in v.terms()]
+    out = {}
+    for lam, c in terms:
+        for key, cell in image(lam).items():
+            _accumulate(out, key, c * unpack(cell, key))
+    return FockVector(out)
 
 
 def apply_f(h: int, i: int, v: FockVector) -> FockVector:
-    """Lowering operator f_i: the raw-map kernel `_f_raw`, frozen once.
+    """Lowering operator f_i: the packed kernel `_f_raw`, label by label.
 
     Every label of v must be a DP_h partition (ValueError otherwise).  Only
     the raised letter can then break the order, so each term is
     straightened by a local rule (see `_raised`).
     """
     n = pt.check_color(h, i)
-    return _frozen(_f_raw(h, i, n, _checked(h, v)))
+    return _act(h, v, lambda lam: _f_raw(h, i, n, {lam: UNIT}))
 
 
 def apply_e(h: int, i: int, v: FockVector) -> FockVector:
     """Raising operator e_i; letters left of the acted one pick up 1/t_i."""
     n = pt.check_color(h, i)
-    out = {}
-    for lam, c in _checked(h, v).items():
-        prefix = 0
-        for k, j in enumerate(lam):
-            if pt.residue(h, j - 1) == i:
-                word = lam[:k] + (j - 1,) + lam[k + 1:]
-                _add_term(out, straighten(word, h), c, prefix,
-                          i == n and j % h == 0)
-            prefix -= _t_exp(h, i, j)
-    return _frozen(out)
+    return _act(h, v, lambda lam: _e_raw(h, i, n, lam))
 
 
 def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
@@ -318,22 +396,21 @@ def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
 
 
 def apply_f_divided(h: int, i: int, k: int, v: FockVector) -> FockVector:
-    """Divided power f_i^(k): k kernel passes on raw maps, then [k]_i! exactly.
+    """Divided power f_i^(k): k passes of apply_f, then [k]_i! exactly.
 
-    The map is frozen once, after the last pass.  Non-divisibility raises
+    Exact for coefficients of any size.  Non-divisibility raises
     ExactDivisionError; that always indicates a bug upstream, never
     legitimate data.
     """
     if k < 1:
         raise ValueError("divided power needs k >= 1")
     n = pt.check_color(h, i)
-    raw = _checked(h, v)
     for _ in range(k):
-        raw = _f_raw(h, i, n, raw)
+        v = apply_f(h, i, v)
     if k == 1:
-        return _frozen(raw)
+        return v
     fact = q_factorial(k, i, n)
-    return FockVector({lam: _pruned(c).exact_div(fact) for lam, c in raw.items()})
+    return FockVector({lam: c.exact_div(fact) for lam, c in v.terms()})
 
 
 def weight(h: int, v: FockVector) -> tuple:

@@ -1,15 +1,42 @@
 """Exact arithmetic for integer Laurent polynomials in q.
 
-Every matrix entry and scalar downstream is one of these.  Coefficients are
+Every matrix entry and scalar downstream is a LaurentPoly.  Coefficients are
 plain Python ints, so nothing ever overflows; the zero polynomial is the
 empty coefficient map.
+
+The canonical solver keeps its coefficients packed instead (Kronecker
+substitution; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", JSC 2009): a polynomial sum_k a_k q^(e0+k) is the
+triple (e0, x, n) with x = sum_k a_k 2^(B*k), B = DIGIT_BITS, and n a
+carried upper bound on its l1 norm sum_k |a_k|.  Sums and products of the
+ints are exact whatever the digits do, so one product and one shift stand
+for a whole polynomial multiply-add.  Reading the digits back is exact only
+while every |a_k| < 2^(B-1): `unpack`, `PolyAccumulator.freeze` and
+`exact_quotient` refuse with CoefficientBoundError once n reaches that
+bound, and never guess.
 """
 
 from __future__ import annotations
 
+DIGIT_BITS = 32         # B, the width of a packed digit
+
 
 class ExactDivisionError(ArithmeticError):
     """A supposedly exact polynomial division left a remainder."""
+
+
+class CoefficientBoundError(ArithmeticError):
+    """A packed coefficient's carried bound reached 2^(DIGIT_BITS-1).
+
+    Its balanced digits might then no longer be its coefficients, so the
+    packed value cannot be read back.  The message names the row label; the
+    canonical solver adds h, m and the column.
+    """
+
+    def __init__(self, bound, row, where=""):
+        self.bound, self.row = bound, row
+        super().__init__(f"{where}row {row}: carried coefficient bound "
+                         f"{bound} >= 2^{DIGIT_BITS - 1}")
 
 
 class LaurentPoly:
@@ -105,14 +132,6 @@ class LaurentPoly:
         """Evaluate at q = 1, i.e. the coefficient sum."""
         return sum(self._c.values())
 
-    def in_z_of_q(self) -> bool:
-        """True when no negative exponent occurs (element of Z[q])."""
-        return min(self._c, default=0) >= 0
-
-    def in_q_z_of_q(self) -> bool:
-        """True when all exponents are >= 1 (element of qZ[q])."""
-        return min(self._c, default=1) >= 1
-
     def exact_div(self, divisor) -> "LaurentPoly":
         """Divide exactly, raising ExactDivisionError on any remainder.
 
@@ -178,50 +197,129 @@ class LaurentPoly:
         return f"LaurentPoly({{{items}}})"
 
 
-class PolyAccumulator:
-    """Mutable map {key: Laurent polynomial} that sums products in place.
+def pack(p: LaurentPoly) -> tuple:
+    """The packed (e0, x, n) of p: e0 its least exponent (0 for zero), n
+    its exact l1 norm.  Exact for coefficients of any size; only `unpack`
+    needs them small."""
+    c = p._c
+    if not c:
+        return 0, 0, 0
+    e0, b = min(c), DIGIT_BITS
+    return (e0, sum(a << (b * (e - e0)) for e, a in c.items()),
+            sum(map(abs, c.values())))
 
-    While terms are added the coefficients stay raw {exponent: int} maps,
-    so a long run of multiply-adds allocates no LaurentPoly; zeros are
-    pruned only when a coefficient is read or the map is frozen.
+
+def _digits(x: int, b: int) -> list:
+    """The balanced base-2^b digits of x, each in [-2^(b-1), 2^(b-1)),
+    lowest first; x == sum(d << (b * k) for k, d in enumerate(digits))."""
+    half, full, mask = 1 << (b - 1), 1 << b, (1 << b) - 1
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        x = (x - d) >> b
+    return out
+
+
+def unpack(c, row=None) -> LaurentPoly:
+    """The LaurentPoly of a packed (e0, x, n), refused unless n < 2^(B-1)."""
+    e0, x, n = c
+    b = DIGIT_BITS
+    if n >= 1 << (b - 1):
+        raise CoefficientBoundError(n, row)
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = {e0 + k: d for k, d in enumerate(_digits(x, b)) if d}
+    return out
+
+
+def exact_quotient(c, d, row=None) -> tuple:
+    """c / d for packed c and d, d's bound its exact l1 norm, as one divmod.
+
+    Integer divisibility alone proves nothing about the polynomials, so the
+    quotient's digits are checked too: if every |coefficient of c| and
+    max|digit of Q| * ||d||_1 lie below 2^(B-1), then d * Q and c have
+    the same small-digit encoding and so are equal.  When the quotient
+    check fails, LaurentPoly.exact_div decides.  A remainder, either way,
+    raises ExactDivisionError.
+    """
+    e, x, n = c
+    d0, y, dn = d
+    b = DIGIT_BITS
+    half = 1 << (b - 1)
+    if n >= half:
+        raise CoefficientBoundError(n, row)
+    quo, rem = divmod(x, y)
+    if rem:
+        raise ExactDivisionError(f"{unpack(c)} is not divisible by {unpack(d)}")
+    digits = _digits(quo, b)
+    if max(map(abs, digits), default=0) * dn >= half:
+        return pack(unpack(c).exact_div(unpack(d)))
+    return e - d0, quo, sum(map(abs, digits))
+
+
+class PolyAccumulator:
+    """Mutable map {key: packed polynomial} that sums products in place.
+
+    Each value is a cell [e0, x, n] (see `pack`), so a multiply-add is one
+    int product and one shift; a cell's e0 drops whenever a term lands
+    below it.  Nothing is decoded while terms are added: `coefficient`
+    decodes one cell and `freeze` normalizes them all, both only under a
+    carried bound below 2^(DIGIT_BITS-1).
     """
 
-    __slots__ = ("_raw",)
+    __slots__ = ("cells",)
 
-    def __init__(self):
-        self._raw = {}
+    def __init__(self, cells=None):
+        self.cells = {} if cells is None else cells
 
-    def add_scaled(self, scalar: LaurentPoly, terms) -> None:
-        """self[key] += scalar * poly for every (key, poly) in terms."""
-        raw = self._raw
-        sc = scalar._c.items()
-        for key, poly in terms:
-            c = raw.get(key)
-            if c is None:
-                c = raw[key] = {}
-            for e2, a2 in poly._c.items():
-                for e1, a1 in sc:
-                    e = e1 + e2
-                    c[e] = c.get(e, 0) + a1 * a2
+    def add_scaled(self, scalar, terms) -> None:
+        """self[key] += scalar * c for every (key, c) in terms, all packed."""
+        cells = self.cells
+        s0, sx, sn = scalar
+        b = DIGIT_BITS
+        for key, (e, x, n) in terms:
+            _add_cell(cells, key, e + s0, sx * x, sn * n, b)
 
     def coefficient(self, key) -> LaurentPoly:
-        c = self._raw.get(key)
-        return _pruned(c) if c else ZERO
+        c = self.cells.get(key)
+        return unpack(c, key) if c else ZERO
 
     def freeze(self) -> dict:
-        """{key: LaurentPoly} with zero coefficients dropped."""
+        """{key: (e0, x, n)}: zeros dropped, e0 the least exponent, and a
+        bound that has passed 2^(DIGIT_BITS/2) tightened to the exact
+        l1 norm by decoding, so products in the next degree start small."""
+        b = DIGIT_BITS
+        half, tight = 1 << (b - 1), 1 << (b // 2)
         out = {}
-        for key, c in self._raw.items():
-            poly = _pruned(c)
-            if poly:
-                out[key] = poly
+        for key, (e, x, n) in self.cells.items():
+            if n >= half:
+                raise CoefficientBoundError(n, key)
+            if x:
+                low = ((x & -x).bit_length() - 1) // b
+                if low:
+                    e += low
+                    x >>= b * low
+                if n >= tight:
+                    n = sum(map(abs, _digits(x, b)))
+                out[key] = (e, x, n)
         return out
 
 
-def _pruned(raw: dict) -> LaurentPoly:
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._c = {e: a for e, a in raw.items() if a}
-    return out
+def _add_cell(cells, key, e, x, n, b):
+    """cells[key] += the packed (e, x, n), digits of width b."""
+    cell = cells.get(key)
+    if cell is None:
+        cells[key] = [e, x, n]
+        return
+    d = e - cell[0]
+    if d >= 0:
+        cell[1] += x << (b * d)
+    else:
+        cell[1] = x + (cell[1] << (-b * d))
+        cell[0] = e
+    cell[2] += n
 
 
 def _coerce(x):

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinfock.laurent import LaurentPoly, ONE
-from spinfock.fock import FockVector
+from spinfock import laurent
+from spinfock.laurent import CoefficientBoundError, LaurentPoly, ONE
+from spinfock.fock import FockVector, PackedVector
 from spinfock import partitions as pt
 from spinfock import crystal
 from spinfock import fixtures as fx
@@ -168,6 +170,67 @@ class TestFastSlow:
         slow = CanonicalBasis(h, fast=False)
         for m in range(0, 23 if h == 3 else 21):
             assert fast.matrix(m) == slow.matrix(m)
+
+
+def _dominates(lam, mu):
+    """lam >= mu in dominance order, for partitions of one size."""
+    a = b = 0
+    for k in range(max(len(lam), len(mu))):
+        a += lam[k] if k < len(lam) else 0
+        b += mu[k] if k < len(mu) else 0
+        if a < b:
+            return False
+    return True
+
+
+class TestSolverProperties:
+    """Random small (h, m), each solved by fresh solvers on both routes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 9]), st.integers(0, 20))
+    def test_canonical_columns(self, h, m):
+        M = CanonicalBasis(h).matrix(m)
+        for mu in M.labels:
+            col = M.column(mu)
+            core = oracle_hbar_core(h, mu)
+            assert col.coefficient(mu) == ONE                  # unitriangular
+            for lam, c in col.terms():
+                assert sum(lam) == m and _dominates(lam, mu), (mu, lam)
+                if lam != mu:                                  # qZ[q]
+                    assert min(c.coeffs()) >= 1, (mu, lam, c)
+                assert oracle_hbar_core(h, lam) == core, (mu, lam)  # block
+        assert CanonicalBasis(h, fast=False).matrix(m) == M
+
+
+class TestPackedBound:
+    """The solver's digit bound, at digit widths narrow enough to reach it."""
+
+    def test_narrow_digits_refuse_with_context(self, monkeypatch):
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
+        solver = CanonicalBasis(3)
+        solver.matrix(20)
+        with pytest.raises(CoefficientBoundError,
+                           match=r"^h=3 m=21 column \(9, 7, 4, 1\): row "
+                                 r"\(10, 7, 4\): carried coefficient bound"):
+            solver.matrix(21)
+
+    def test_tightened_bounds_reach_deeper(self, monkeypatch):
+        # carried bounds compound from degree to degree unless each column's
+        # large bounds are tightened when it is frozen: without that, 16-bit
+        # digits overflow at h=3 m=22
+        wide = CanonicalBasis(3)
+        want = [wide.matrix(m).to_json() for m in range(23)]    # decoded at 32
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 16)
+        narrow = CanonicalBasis(3)
+        assert [narrow.matrix(m).to_json() for m in range(23)] == want
+
+    def test_columns_stay_packed(self):
+        M = canonical_basis(3, 12)
+        col = M.columns[M.labels[-1]]
+        assert isinstance(col, PackedVector) and isinstance(col, FockVector)
+        assert len(col) == len(dict(col.terms())) > 1
+        for lam, e0 in col.least_exponents():
+            assert e0 == min(col.coefficient(lam).coeffs()), lam
 
 
 def change_of_basis(h, m):

@@ -221,6 +221,18 @@ class TestInternalErrors:
         assert "h=3 m=5" in err and "CanonicalBasisError" in err
 
 
+    def test_coefficient_bound_exit_code_3(self, capsys, monkeypatch):
+        from spinfock import laurent
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
+        code, out, err = run(capsys, "canonical", "--n", "1", "--m", "21")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("internal error at h=3 m=21: "
+                              "CoefficientBoundError: h=3 m=21 column "
+                              "(9, 7, 4, 1): row (10, 7, 4): ")
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self, capsys):
         _, out1, _ = run(capsys, "crystal", "--n", "2", "--max-degree", "6",

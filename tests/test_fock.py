@@ -1,6 +1,6 @@
 import pytest
 
-from spinfock.laurent import LaurentPoly, ONE
+from spinfock.laurent import LaurentPoly, ONE, q_factorial, unpack
 from spinfock.fock import (
     FockVector,
     UncoveredDisorderError,
@@ -134,6 +134,36 @@ class TestLocalRule:
             for i in range(pt.rank(h) + 1):
                 assert apply_f(h, i, v) == _f_reference(h, i, lam), (lam, i)
 
+    @pytest.mark.parametrize("h", [3, 5, 7])
+    def test_packed_divided_powers_match_reference(self, h):
+        # the solver's packed f_i^(k)|lam>, decoded, against k reference
+        # passes and one LaurentPoly.exact_div by [k]_i!
+        n = pt.rank(h)
+        for i in range(n + 1):
+            images = {}
+
+            def f_ref(v):
+                out = {}
+                for lam, c in v.terms():
+                    if lam not in images:
+                        images[lam] = _f_reference(h, i, lam)
+                    for mu, d in images[lam].terms():
+                        fock._accumulate(out, mu, c * d)
+                return FockVector(out)
+
+            for lam in self._labels(h):
+                v = FockVector.basis(lam)
+                for k in range(1, 5):
+                    v = f_ref(v)
+                    fact = q_factorial(k, i, n)
+                    want = FockVector({mu: c.exact_div(fact)
+                                       for mu, c in v.terms()})
+                    got = FockVector({mu: unpack(c) for mu, c
+                                      in fock._f_divided(h, i, n, k, lam).items()})
+                    assert got == want, (lam, i, k)
+                    if not v:
+                        break
+
     def test_non_dp_h_label_rejected(self):
         # the local rule needs DP_5 labels; every action refuses any other
         # word at entry instead of straightening it
@@ -255,6 +285,31 @@ class TestDividedPowers:
                     for res, cnt in pt.ladders(h, mu).steps:
                         v = apply_f_divided(h, res, cnt, v)
                     assert v.coefficient(mu) == ONE
+
+
+class TestArbitraryCoefficients:
+    """Public actions never meet the packing's digit bound."""
+
+    HUGE = LaurentPoly({-50: 10**40})
+
+    @pytest.mark.parametrize("action", [
+        apply_f, apply_e,
+        lambda h, i, v: apply_f_divided(h, i, 2, v),
+        lambda h, i, v: apply_f_divided(h, i, 3, v)])
+    def test_huge_coefficient_scales_exactly(self, action):
+        c2 = LaurentPoly({3: -(2**200) + 1, 7: 5})
+        for lam in [(5, 4, 2), (5, 5, 2), (6, 5, 4, 3, 1)]:
+            for i in range(3):
+                a, b = FockVector.basis(lam), FockVector.basis((6, 4, 3))
+                v = a.scaled(self.HUGE) + b.scaled(c2)
+                want = (action(5, i, a).scaled(self.HUGE)
+                        + action(5, i, b).scaled(c2))
+                assert action(5, i, v) == want, (lam, i)
+
+    def test_huge_coefficient_survives_a_divided_power(self):
+        v = FockVector.basis((2,)).scaled(self.HUGE)
+        got = apply_f_divided(3, 1, 2, v)
+        assert got == vec({(4,): {-48: 10**40}, (3, 1): {-50: 10**40}})
 
 
 class TestCommutators:

@@ -2,10 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinfock.laurent import (
+    DIGIT_BITS,
+    CoefficientBoundError,
     LaurentPoly,
     ExactDivisionError,
     PolyAccumulator,
     ZERO,
+    _digits,
+    exact_quotient,
+    pack,
+    unpack,
     ONE,
     q_integer,
     q_factorial,
@@ -15,6 +21,10 @@ from spinfock.laurent import (
 
 def poly(d):
     return LaurentPoly(d)
+
+
+def in_q_z_of_q(p):
+    return min(p.coeffs(), default=1) >= 1
 
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(poly)
@@ -135,7 +145,7 @@ class TestSymmetrizeTail:
     def test_defining_property(self, c):
         g = symmetrize_tail(c)
         assert g.bar() == g
-        assert (c - g).in_q_z_of_q()
+        assert in_q_z_of_q(c - g)
 
     @given(st.dictionaries(st.integers(0, 6), st.integers(-5, 5), max_size=4).map(poly))
     def test_symmetric_input(self, half):
@@ -152,28 +162,104 @@ class TestSymmetrizeTail:
             return
         delta = pos + pos.bar()
         g = symmetrize_tail(c)
-        assert not (c - (g + delta)).in_q_z_of_q()
+        assert not in_q_z_of_q(c - (g + delta))
 
 
 class TestPolyAccumulator:
+    """The packed accumulator against LaurentPoly arithmetic."""
+
     @given(st.lists(st.tuples(polys, st.sampled_from("abc"), polys), max_size=6))
     def test_matches_poly_arithmetic(self, products):
         acc = PolyAccumulator()
         expected = {}
         for scalar, key, p in products:
-            acc.add_scaled(scalar, [(key, p)])
+            acc.add_scaled(pack(scalar), [(key, pack(p))])
             expected[key] = expected.get(key, ZERO) + scalar * p
         for key in "abc":
             assert acc.coefficient(key) == expected.get(key, ZERO)
-        assert acc.freeze() == {k: v for k, v in expected.items() if v}
+        frozen = acc.freeze()
+        assert {k: unpack(c) for k, c in frozen.items()} == {
+            k: v for k, v in expected.items() if v}
+        # normalized: e0 is the least exponent
+        assert all(e0 == min(expected[k].coeffs())
+                   for k, (e0, _, _) in frozen.items())
 
     def test_cancellation_is_pruned(self):
         acc = PolyAccumulator()
         p = poly({-1: 2, 3: 1})
-        acc.add_scaled(ONE, [("a", p), ("b", ONE)])
-        acc.add_scaled(-ONE, [("a", p)])
+        acc.add_scaled(pack(ONE), [("a", pack(p)), ("b", pack(ONE))])
+        acc.add_scaled(pack(-ONE), [("a", pack(p))])
         assert acc.coefficient("a") == ZERO
-        assert acc.freeze() == {"b": ONE}
+        assert acc.freeze() == {"b": (0, 1, 1)}
+
+
+HALF = 1 << (DIGIT_BITS - 1)
+extreme = st.sampled_from([HALF - 1, -(HALF - 1)])
+wide_polys = st.dictionaries(
+    st.integers(-60, 60), st.one_of(st.integers(-9, 9), extreme),
+    max_size=6).map(poly)
+
+
+class TestPacked:
+    """pack / unpack, the digit-bound guards and the checked division."""
+
+    @given(wide_polys)
+    def test_digits_round_trip(self, p):
+        # balanced digits decode exactly while every |a| < 2^(B-1) ...
+        e0, x, n = pack(p)
+        assert n == sum(abs(a) for a in p.coeffs().values())
+        digits = _digits(x, DIGIT_BITS)
+        assert {e0 + k: d for k, d in enumerate(digits) if d} == p.coeffs()
+        # ... and unpack reads them back only under its l1 bound
+        if n < HALF:
+            assert unpack((e0, x, n)) == p
+        else:
+            with pytest.raises(CoefficientBoundError):
+                unpack((e0, x, n))
+
+    def test_unpack_refuses_at_the_bound(self):
+        assert unpack((-3, HALF - 1, HALF - 1)) == poly({-3: HALF - 1})
+        with pytest.raises(CoefficientBoundError, match=r"row \(2, 1\)"):
+            unpack((0, 1, HALF), (2, 1))
+
+    def test_freeze_refuses_at_the_bound(self):
+        acc = PolyAccumulator({"a": [0, 1, 1], "b": [0, 1, HALF]})
+        with pytest.raises(CoefficientBoundError, match="row b"):
+            acc.freeze()
+        with pytest.raises(CoefficientBoundError, match="row b"):
+            acc.coefficient("b")
+
+    def test_freeze_normalizes_and_tightens(self):
+        x = (5 << (2 * DIGIT_BITS)) - (3 << (3 * DIGIT_BITS))
+        acc = PolyAccumulator({"a": [-4, x, 1 << 20], "z": [0, 0, 7]})
+        assert acc.freeze() == {"a": (-2, 5 - (3 << DIGIT_BITS), 8)}
+
+    @given(polys, st.integers(2, 4), st.integers(0, 2))
+    def test_exact_quotient_inverts_multiplication(self, p, k, i):
+        fact = q_factorial(k, i, 2)
+        e0, x, n = exact_quotient(pack(p * fact), pack(fact))
+        assert unpack((e0, x, n)) == p
+        if p:
+            assert e0 == min(p.coeffs())
+
+    def test_exact_quotient_refuses_a_remainder(self):
+        with pytest.raises(ExactDivisionError):
+            exact_quotient(pack(poly({1: 1})), pack(q_factorial(2, 1, 1)))
+
+    def test_integer_divisibility_is_not_enough(self):
+        # with t = 2^(B-2), t + 2q at q = 2^B is 9t = 3 * (2^B - t), yet
+        # t + 2q = 2(q - t) + 3t is no multiple of q - t: the quotient 3
+        # fails the digit check, and exact_div finds the remainder
+        t = 1 << (DIGIT_BITS - 2)
+        c, d = pack(poly({0: t, 1: 2})), pack(poly({0: -t, 1: 1}))
+        assert c[1] % d[1] == 0
+        with pytest.raises(ExactDivisionError):
+            exact_quotient(c, d)
+
+    def test_exact_quotient_refuses_at_the_bound(self):
+        fact = pack(q_factorial(2, 1, 1))
+        with pytest.raises(CoefficientBoundError, match="row x"):
+            exact_quotient((0, fact[1], HALF), fact, "x")
 
 
 class TestEvalAndJson:
