@@ -11,8 +11,9 @@ coefficient at a canonical label is touched exactly once, and the final
 column must be unitriangular with every off-diagonal entry in qZ[q].
 
 Every coefficient on the solver's path is packed (laurent.pack: the
-triple (e0, x, n) with x the coefficients as balanced base-2^B digits,
-B = laurent.DIGIT_BITS, and n a carried l1 bound).  The fast route applies
+triple (e0, x, n) with x the coefficients as balanced base-2^b digits and
+n a carried l1 bound), at the solver's digit width b: B =
+laurent.DIGIT_BITS at first.  The fast route applies
 f_i^(k) label by label and memoises each packed image f_i^(k)|lam>
 (fock._f_divided) for one degree only.  A key (i, k, lam) with
 |lam| = m - k yields degree-m vectors, so it never recurs in another
@@ -25,8 +26,10 @@ symmetrize_tail decodes only the coefficients of the block's earlier
 labels.  The accumulator is frozen once, into a fock.PackedVector, before
 the column is validated.  A column is a FockVector that decodes on read,
 so BasisMatrix serves LaurentPoly entries and the CLI decodes only the
-degree it prints.  A carried bound that reaches 2^(B-1) raises
-CoefficientBoundError (never a guess) naming h, m, the column and the
+degree it prints.  A carried bound that reaches 2^(b-1) raises
+CoefficientBoundError (never a guess); the solver then re-solves that
+degree, and keeps solving later ones, at b = 2B.  Only a bound that
+reaches 2^(2B-1) stops it, with an error naming h, m, the column and the
 row.  Residue contents are cached per label for the solver's lifetime.
 
 One generator, column_failures, states the five column conditions: the
@@ -50,7 +53,8 @@ from operator import ge
 
 from .laurent import (CoefficientBoundError, LaurentPoly, ONE, PolyAccumulator,
                       pack, symmetrize_tail)
-from .fock import UNIT, FockVector, PackedVector, _f_divided, apply_f_divided
+from . import laurent
+from .fock import UNIT, FockVector, PackedVector, _act, _f_divided
 from . import partitions as pt
 
 
@@ -59,14 +63,22 @@ class CanonicalBasisError(RuntimeError):
 
 
 def a_vector(h: int, mu) -> FockVector:
-    """Intermediate vector: the full ladder monomial applied to the vacuum."""
+    """Intermediate vector: the full ladder monomial applied to the vacuum.
+
+    Every divided power is the packed fock._f_divided, and the result is
+    decoded once, at the end (fock._act, which widens the digits as needed).
+    """
     dec = pt.ladders(h, mu)                 # the DP_h check of mu
     if not pt.in_dpr_h(h, dec.partition):
         raise ValueError(f"{dec.partition} is not {h}-regular")
-    v = FockVector.basis(())
-    for res, cnt in dec.steps:
-        v = apply_f_divided(h, res, cnt, v)
-    return v
+    n = pt.rank(h)
+
+    def monomial(terms, b):
+        for res, cnt in dec.steps:
+            terms = _f_divided(h, res, n, cnt, terms, b)
+        return terms
+
+    return _act(h, FockVector.basis(()), monomial)
 
 
 def render_table(M, row_name) -> str:
@@ -167,7 +179,9 @@ class CanonicalBasis:
         self.h = h
         self.fast = fast
         self._contents = {}             # label -> residue content
-        self._matrices = {0: BasisMatrix(h, 0, ((),), {(): PackedVector({(): UNIT})})}
+        self._bits = laurent.DIGIT_BITS  # digit width, doubled at most once
+        vacuum = PackedVector({(): UNIT}, self._bits)
+        self._matrices = {0: BasisMatrix(h, 0, ((),), {(): vacuum})}
 
     def column(self, mu) -> FockVector:
         mu = pt.check_dp_h(self.h, mu)
@@ -191,30 +205,44 @@ class CanonicalBasis:
         return content
 
     def _intermediate(self, mu, memo) -> PolyAccumulator:
-        """A(mu) in a fresh column accumulator.
+        """A(mu) in a fresh column accumulator at the solver's width.
 
         The fast route applies f_res^(cnt) label by label to the column of
         the stripped label, taking each f_res^(cnt)|lam> from `memo`, the
         current degree's table, or computing it there once.  The slow route
         never reads `memo`.
         """
-        acc = PolyAccumulator()
+        b = self._bits
+        acc = PolyAccumulator(b)
         if not self.fast:
-            acc.add_scaled(UNIT, [(lam, pack(c)) for lam, c
+            acc.add_scaled(UNIT, [(lam, pack(c, b)) for lam, c
                                   in a_vector(self.h, mu).terms()])
             return acc
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
         n = pt.rank(self.h)
-        for lam, c in self.column(nu).packed.items():
+        for lam, c in self.column(nu).packed_at(b).items():
             key = (res, cnt, lam)
             image = memo.get(key)
             if image is None:
-                image = memo[key] = _f_divided(self.h, res, n, cnt, lam).items()
+                image = memo[key] = _f_divided(self.h, res, n, cnt,
+                                               {lam: UNIT}, b).items()
             acc.add_scaled(c, image)
         return acc
 
     def _solve_degree(self, m: int) -> BasisMatrix:
+        """Degree m at the solver's width; once, at twice that width, if a
+        carried bound reaches the digits' reach."""
+        try:
+            return self._reduce(m)
+        except CoefficientBoundError:
+            if self._bits != laurent.DIGIT_BITS:
+                raise
+        self._bits *= 2
+        return self._reduce(m)
+
+    def _reduce(self, m: int) -> BasisMatrix:
         labels = tuple(pt.enumerate_dpr_h(self.h, m))
+        b = self._bits
         memo = {}                               # dropped with this degree
         blocks = {}                             # content -> labels done
         done = {}
@@ -226,13 +254,13 @@ class CanonicalBasis:
                 for s in reversed(block):       # lex-greater, increasing lex
                     gamma = symmetrize_tail(acc.coefficient(s))
                     if gamma:
-                        acc.add_scaled(pack(-gamma), done[s].packed.items())
-                vec = PackedVector(acc.freeze())
+                        acc.add_scaled(pack(-gamma, b), done[s].packed.items())
+                vec = PackedVector(acc.freeze(), b)
                 self._validate_column(mu, vec, m)
                 block.append(mu)
                 done[mu] = vec
         except CoefficientBoundError as exc:
-            raise CoefficientBoundError(exc.bound, exc.row, f"h={self.h} "
+            raise CoefficientBoundError(exc.bound, exc.row, b, f"h={self.h} "
                                         f"m={m} column {mu}: ") from None
         return BasisMatrix(self.h, m, labels, done)
 

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (a broken engine invariant: a canonical column failing its checks, an
-inexact divided power, a packed coefficient past its digit bound, an
-unstraightenable wedge word or an inconsistent ladder or crystal string).  Output is deterministic.  canonical and decomp
-emit their matrix through one path, _emit_matrix, as an aligned table, CSV
-or JSON; canonical hands it only the solved matrix, so the solver and its
-lower degrees are freed before serialisation.  All JSON goes through one
-writer, _emit_json, not json.dump: exactly json.dumps(obj, indent=2) and a
-newline, the outer two levels written in pieces, never as one string.
+inexact divided power, a packed coefficient past even the solver's widened
+digits, an unstraightenable wedge word or an inconsistent ladder or crystal
+string).  Output is deterministic.  canonical and decomp emit their matrix
+through one path, _emit_matrix, as an aligned table, CSV or JSON;
+canonical hands it only the solved matrix, so the solver and its lower
+degrees are freed before serialisation.  All JSON goes through one writer,
+_emit_json, not json.dump: exactly json.dumps(obj, indent=2) and a
+newline, the outer two levels written in pieces, never as one string.  Only
+verify imports the verify module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import partitions as pt
 from . import crystal
 from . import modular
-from . import verify as vf
 from .canonical import CanonicalBasis, CanonicalBasisError
 from .fock import UncoveredDisorderError
 from .laurent import CoefficientBoundError, ExactDivisionError
@@ -149,6 +150,7 @@ def cmd_ladders(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf      # the other commands never load it
     report = vf.run_suite(args.suite, max_degree=args.max_degree,
                           seed=args.seed)
     payload = report.to_json()

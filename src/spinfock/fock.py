@@ -9,30 +9,32 @@ from the one color rule `partitions.residue`.
 
 Every action takes DP_h labels only: each input label is checked once, at
 entry, by `partitions.check_dp_h`.  f_i runs one kernel, `_f_raw`, on
-packed coefficients {label: (e0, x, n)} (laurent.pack): each term is one
-sign, one shift and, at the short node, one x + (x << 2B).  In a DP_h label
-only the raised letter j -> j+1 can break the order, so the kernel
-straightens locally: the new letter bubbles left through the run of equal
-letters j with one -q^2 per swap, and the term vanishes next to an equal
-j+1 that is not a multiple of h (the vacuum term vanishes on a last part
-1).  Every word of e_i goes to the generic `straighten`, which stays the
-oracle of the local rule.
+coefficients packed at a digit width b, {label: (e0, x, n)} (laurent.pack):
+each term is one sign, one shift and, at the short node, one
+x + (x << 2b).  In a DP_h label only the raised letter j -> j+1 can break
+the order, so the kernel straightens locally: the new letter bubbles left
+through the run of equal letters j with one -q^2 per swap, and the term
+vanishes next to an equal j+1 that is not a multiple of h (the vacuum term
+vanishes on a last part 1).  Every word of e_i goes to the generic
+`straighten`, which stays the oracle of the local rule.
 
-The public actions pack only a basis label with coefficient 1, decode its
-image, and scale it by the caller's coefficient in LaurentPoly arithmetic,
-so they stay exact for coefficients of any size; apply_f_divided is k
-passes of apply_f and one LaurentPoly.exact_div.  Only the canonical
-solver keeps packed values: `_f_divided` gives f_i^(k)|lam> with [k]_i!
-divided out by one checked integer division, and its columns are
-PackedVectors that decode on read.
+There is one divided power, `_f_divided`: k kernel passes with [k]_i!
+divided out by one checked integer division.  The public actions (`_act`)
+pack their input, run the kernel and decode the result; an action whose
+carried bound reaches the digits' reach is repeated at twice the width.
+So they stay exact for coefficients and divided powers of any size.  Only
+the canonical solver keeps packed values: its memo holds `_f_divided`
+images of single labels and its columns are PackedVectors that decode on
+read.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .laurent import (LaurentPoly, ONE, PolyAccumulator, ZERO, _add_cell,
-                      exact_quotient, pack, q_factorial, unpack)
+from .laurent import (CoefficientBoundError, LaurentPoly, ONE,
+                      PolyAccumulator, ZERO, _add_cell, exact_quotient, pack,
+                      q_factorial, unpack)
 from . import laurent
 from . import partitions as pt
 
@@ -156,26 +158,35 @@ class FockVector:
 
 
 class PackedVector(FockVector):
-    """A FockVector kept as {label: packed (e0, x, n)}: the solver's columns.
+    """A FockVector kept as {label: (e0, x, n)} packed at digit width
+    `bits`: the solver's columns.
 
     Every read decodes on demand (laurent.unpack), so only the coefficients
-    that are printed or compared are ever unpacked; `packed` feeds the
+    that are printed or compared are ever unpacked; `packed_at` feeds the
     solver's multiply-adds directly, and `least_exponents` reads e0, which
     is the least exponent because the entries are normalized.
     """
 
-    __slots__ = ("packed",)
+    __slots__ = ("packed", "bits")
 
-    def __init__(self, packed):
-        self.packed = packed
+    def __init__(self, packed, bits):
+        self.packed, self.bits = packed, bits
 
     @property
     def _terms(self):
-        return {lam: unpack(c, lam) for lam, c in self.packed.items()}
+        b = self.bits
+        return {lam: unpack(c, b, lam) for lam, c in self.packed.items()}
+
+    def packed_at(self, b) -> dict:
+        """The entries packed at width b: as stored, or re-packed."""
+        if b == self.bits:
+            return self.packed
+        return {lam: pack(unpack(c, self.bits, lam), b)
+                for lam, c in self.packed.items()}
 
     def coefficient(self, lam) -> LaurentPoly:
         c = self.packed.get(tuple(lam))
-        return ZERO if c is None else unpack(c, lam)
+        return ZERO if c is None else unpack(c, self.bits, lam)
 
     def support(self) -> list:
         return sorted(self.packed, reverse=True)
@@ -247,17 +258,16 @@ def _accumulate(out, key, value):
 UNIT = (0, 1, 1)        # the packed coefficient 1
 
 
-def _add_term(out, res, c, shift, double):
+def _add_term(out, res, c, shift, double, b):
     """out[key] += c q^shift (-q^2)^swaps (q + 1/q if double), res = (key, swaps).
 
-    `out` maps labels to packed cells and `c` is packed (laurent.pack);
+    `out` maps labels to cells and `c` is packed at width b (laurent.pack);
     res None (a vanished word) adds nothing.
     """
     if res is None:
         return
     key, swaps = res
     e, x, n = c
-    b = laurent.DIGIT_BITS
     e += shift + 2 * swaps
     if swaps % 2:
         x = -x
@@ -286,8 +296,16 @@ def _raised(h, lam, k):
     return lam[:p] + (j + 1,) + lam[p:k] + lam[k + 1:], k - p
 
 
-def _f_raw(h, i, n, terms) -> dict:
-    """f_i on packed {label: (e0, x, n)}; returns a new map of packed cells.
+@functools.lru_cache(maxsize=None)
+def _color_tables(h, i):
+    """Per residue j mod h: does f_i raise a letter j, and its t_i exponent."""
+    return (tuple(pt.residue(h, j) == i for j in range(h)),
+            tuple(_t_exp(h, i, j) for j in range(h)))
+
+
+def _f_raw(h, i, n, terms, b) -> dict:
+    """f_i on {label: (e0, x, n)} packed at width b; returns a new map of
+    cells at that width.
 
     Term k of the action raises letter k by one and twists every later
     letter (and the vacuum) by t_i; for i = n an extra term appends a part 1
@@ -295,8 +313,7 @@ def _f_raw(h, i, n, terms) -> dict:
     word is normal-ordered by the local rule of `_raised`, so every label
     of `terms` must be a DP_h label.
     """
-    hit = [pt.residue(h, j) == i for j in range(h)]
-    t_exp = [_t_exp(h, i, j) for j in range(h)]
+    hit, t_exp = _color_tables(h, i)
     out = {}
     for lam, c in terms.items():
         r = len(lam)
@@ -308,80 +325,87 @@ def _f_raw(h, i, n, terms) -> dict:
         for k, j in enumerate(lam):
             if hit[j % h]:
                 _add_term(out, _raised(h, lam, k), c,
-                          suffix[k + 1], i == n and j % h == 0)
+                          suffix[k + 1], i == n and j % h == 0, b)
         if i == n and (not r or lam[-1] != 1):
-            _add_term(out, (lam + (1,), 0), c, 0, False)
+            _add_term(out, (lam + (1,), 0), c, 0, False, b)
     return out
 
 
-def _e_raw(h, i, n, lam) -> dict:
-    """e_i|lam> as packed cells; letters left of the acted one pick up 1/t_i."""
+def _e_raw(h, i, n, terms, b) -> dict:
+    """e_i on {label: (e0, x, n)} packed at width b, as cells at that
+    width; letters left of the acted one pick up 1/t_i."""
     out = {}
-    prefix = 0
-    for k, j in enumerate(lam):
-        if pt.residue(h, j - 1) == i:
-            word = lam[:k] + (j - 1,) + lam[k + 1:]
-            _add_term(out, straighten(word, h), UNIT, prefix,
-                      i == n and j % h == 0)
-        prefix -= _t_exp(h, i, j)
+    for lam, c in terms.items():
+        prefix = 0
+        for k, j in enumerate(lam):
+            if pt.residue(h, j - 1) == i:
+                word = lam[:k] + (j - 1,) + lam[k + 1:]
+                _add_term(out, straighten(word, h), c, prefix,
+                          i == n and j % h == 0, b)
+            prefix -= _t_exp(h, i, j)
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _packed_factorial(k, i, n, bits):
-    """pack([k]_i!) at digit width `bits`; its bound is its exact l1 norm."""
-    return pack(q_factorial(k, i, n))
+def _packed_factorial(k, i, n, b):
+    """pack([k]_i!) at digit width b; its bound is its exact l1 norm."""
+    return pack(q_factorial(k, i, n), b)
 
 
-def _f_divided(h, i, n, k, lam) -> dict:
-    """f_i^(k)|lam> for a DP_h label, as {label: packed (e0, x, n)}.
+def _f_divided(h, i, n, k, terms, b) -> dict:
+    """f_i^(k) on {DP_h label: (e0, x, n)} packed at width b, as a map of
+    normalized packed entries at that width.
 
-    k kernel passes from the coefficient 1, one freeze (which checks and
-    normalizes every bound), then each coefficient divided by [k]_i! as one
-    checked integer division (laurent.exact_quotient).  The canonical
-    solver's memo holds these images.
+    k kernel passes, one freeze (which checks and normalizes every bound),
+    then each coefficient divided by [k]_i! as one checked integer division
+    (laurent.exact_quotient).  The canonical solver's memo holds the
+    images f_i^(k)|lam> of single labels; apply_f_divided decodes its own.
     """
-    raw = {lam: UNIT}
+    raw = terms
     for _ in range(k):
-        raw = _f_raw(h, i, n, raw)
-    image = PolyAccumulator(raw).freeze()
+        raw = _f_raw(h, i, n, raw, b)
+    image = PolyAccumulator(b, raw).freeze()
     if k == 1:
         return image
-    fact = _packed_factorial(k, i, n, laurent.DIGIT_BITS)
-    return {key: exact_quotient(c, fact, key) for key, c in image.items()}
+    fact = _packed_factorial(k, i, n, b)
+    return {key: exact_quotient(c, fact, b, key) for key, c in image.items()}
 
 
 def _act(h, v, image) -> FockVector:
-    """sum of c * image(lam) over the terms c|lam> of v.
+    """The FockVector of image(terms of v packed at width b, b).
 
-    Every label of v is checked to be a DP_h partition first.  `image` acts
-    on one label with coefficient 1 and returns packed cells, so a caller's
-    coefficients never enter the packing: each image is decoded and scaled
-    by exact LaurentPoly arithmetic, whatever the size of c.
+    Every label of v is checked to be a DP_h partition first.  Packing is
+    exact for coefficients of any size and `pack` gives each its exact l1
+    norm; when a carried bound then reaches the reach of b-bit digits
+    (CoefficientBoundError), the whole action is repeated at width 2b,
+    starting from laurent.DIGIT_BITS.  So no input is refused.
     """
-    terms = [(pt.check_dp_h(h, lam), c) for lam, c in v.terms()]
-    out = {}
-    for lam, c in terms:
-        for key, cell in image(lam).items():
-            _accumulate(out, key, c * unpack(cell, key))
-    return FockVector(out)
+    terms = {pt.check_dp_h(h, lam): c for lam, c in v.terms()}
+    b = laurent.DIGIT_BITS
+    while True:
+        try:
+            cells = image({lam: pack(c, b) for lam, c in terms.items()}, b)
+            return FockVector({key: unpack(cell, b, key)
+                               for key, cell in cells.items()})
+        except CoefficientBoundError:
+            b *= 2
 
 
 def apply_f(h: int, i: int, v: FockVector) -> FockVector:
-    """Lowering operator f_i: the packed kernel `_f_raw`, label by label.
+    """Lowering operator f_i: one pass of the packed kernel `_f_raw`.
 
     Every label of v must be a DP_h partition (ValueError otherwise).  Only
     the raised letter can then break the order, so each term is
     straightened by a local rule (see `_raised`).
     """
     n = pt.check_color(h, i)
-    return _act(h, v, lambda lam: _f_raw(h, i, n, {lam: UNIT}))
+    return _act(h, v, lambda terms, b: _f_raw(h, i, n, terms, b))
 
 
 def apply_e(h: int, i: int, v: FockVector) -> FockVector:
     """Raising operator e_i; letters left of the acted one pick up 1/t_i."""
     n = pt.check_color(h, i)
-    return _act(h, v, lambda lam: _e_raw(h, i, n, lam))
+    return _act(h, v, lambda terms, b: _e_raw(h, i, n, terms, b))
 
 
 def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
@@ -396,21 +420,16 @@ def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
 
 
 def apply_f_divided(h: int, i: int, k: int, v: FockVector) -> FockVector:
-    """Divided power f_i^(k): k passes of apply_f, then [k]_i! exactly.
+    """Divided power f_i^(k): the packed `_f_divided`, as the solver's.
 
-    Exact for coefficients of any size.  Non-divisibility raises
+    Exact for coefficients and k of any size.  Non-divisibility raises
     ExactDivisionError; that always indicates a bug upstream, never
     legitimate data.
     """
     if k < 1:
         raise ValueError("divided power needs k >= 1")
     n = pt.check_color(h, i)
-    for _ in range(k):
-        v = apply_f(h, i, v)
-    if k == 1:
-        return v
-    fact = q_factorial(k, i, n)
-    return FockVector({lam: c.exact_div(fact) for lam, c in v.terms()})
+    return _act(h, v, lambda terms, b: _f_divided(h, i, n, k, terms, b))
 
 
 def weight(h: int, v: FockVector) -> tuple:

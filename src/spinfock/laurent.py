@@ -6,19 +6,21 @@ empty coefficient map.
 
 The canonical solver keeps its coefficients packed instead (Kronecker
 substitution; Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", JSC 2009): a polynomial sum_k a_k q^(e0+k) is the
-triple (e0, x, n) with x = sum_k a_k 2^(B*k), B = DIGIT_BITS, and n a
-carried upper bound on its l1 norm sum_k |a_k|.  Sums and products of the
-ints are exact whatever the digits do, so one product and one shift stand
-for a whole polynomial multiply-add.  Reading the digits back is exact only
-while every |a_k| < 2^(B-1): `unpack`, `PolyAccumulator.freeze` and
-`exact_quotient` refuse with CoefficientBoundError once n reaches that
-bound, and never guess.
+Kronecker substitution", JSC 2009): at a digit width b, a polynomial
+sum_k a_k q^(e0+k) is the triple (e0, x, n) with x = sum_k a_k 2^(b*k) and
+n a carried upper bound on its l1 norm sum_k |a_k|.  Sums and products of
+the ints are exact whatever the digits do, so one product and one shift
+stand for a whole polynomial multiply-add.  Reading the digits back is
+exact only while every |a_k| < 2^(b-1): `unpack`, `PolyAccumulator.freeze`
+and `exact_quotient` refuse with CoefficientBoundError once n reaches that
+bound, and never guess.  Every packing starts at b = DIGIT_BITS; a caller
+that meets the refusal repeats its work at a wider b (fock._act,
+canonical.CanonicalBasis._solve_degree).
 """
 
 from __future__ import annotations
 
-DIGIT_BITS = 32         # B, the width of a packed digit
+DIGIT_BITS = 32         # B, the first width of a packed digit
 
 
 class ExactDivisionError(ArithmeticError):
@@ -26,17 +28,17 @@ class ExactDivisionError(ArithmeticError):
 
 
 class CoefficientBoundError(ArithmeticError):
-    """A packed coefficient's carried bound reached 2^(DIGIT_BITS-1).
+    """A packed coefficient's carried bound reached 2^(b-1) at digit width b.
 
     Its balanced digits might then no longer be its coefficients, so the
     packed value cannot be read back.  The message names the row label; the
     canonical solver adds h, m and the column.
     """
 
-    def __init__(self, bound, row, where=""):
-        self.bound, self.row = bound, row
+    def __init__(self, bound, row, b, where=""):
+        self.bound, self.row, self.bits = bound, row, b
         super().__init__(f"{where}row {row}: carried coefficient bound "
-                         f"{bound} >= 2^{DIGIT_BITS - 1}")
+                         f"{bound} >= 2^{b - 1}")
 
 
 class LaurentPoly:
@@ -197,14 +199,14 @@ class LaurentPoly:
         return f"LaurentPoly({{{items}}})"
 
 
-def pack(p: LaurentPoly) -> tuple:
-    """The packed (e0, x, n) of p: e0 its least exponent (0 for zero), n
-    its exact l1 norm.  Exact for coefficients of any size; only `unpack`
-    needs them small."""
+def pack(p: LaurentPoly, b: int) -> tuple:
+    """The packed (e0, x, n) of p at digit width b: e0 its least exponent
+    (0 for zero), n its exact l1 norm.  Exact for coefficients of any size;
+    only `unpack` needs them small."""
     c = p._c
     if not c:
         return 0, 0, 0
-    e0, b = min(c), DIGIT_BITS
+    e0 = min(c)
     return (e0, sum(a << (b * (e - e0)) for e, a in c.items()),
             sum(map(abs, c.values())))
 
@@ -223,79 +225,83 @@ def _digits(x: int, b: int) -> list:
     return out
 
 
-def unpack(c, row=None) -> LaurentPoly:
-    """The LaurentPoly of a packed (e0, x, n), refused unless n < 2^(B-1)."""
+def unpack(c, b: int, row=None) -> LaurentPoly:
+    """The LaurentPoly of a packed (e0, x, n) at digit width b, refused
+    unless n < 2^(b-1)."""
     e0, x, n = c
-    b = DIGIT_BITS
     if n >= 1 << (b - 1):
-        raise CoefficientBoundError(n, row)
+        raise CoefficientBoundError(n, row, b)
     out = LaurentPoly.__new__(LaurentPoly)
     out._c = {e0 + k: d for k, d in enumerate(_digits(x, b)) if d}
     return out
 
 
-def exact_quotient(c, d, row=None) -> tuple:
-    """c / d for packed c and d, d's bound its exact l1 norm, as one divmod.
+def exact_quotient(c, d, b: int, row=None) -> tuple:
+    """c / d for c and d packed at width b, d's bound its exact l1 norm,
+    as one divmod.
 
     Integer divisibility alone proves nothing about the polynomials, so the
     quotient's digits are checked too: if every |coefficient of c| and
-    max|digit of Q| * ||d||_1 lie below 2^(B-1), then d * Q and c have
+    max|digit of Q| * ||d||_1 lie below 2^(b-1), then d * Q and c have
     the same small-digit encoding and so are equal.  When the quotient
     check fails, LaurentPoly.exact_div decides.  A remainder, either way,
     raises ExactDivisionError.
     """
     e, x, n = c
     d0, y, dn = d
-    b = DIGIT_BITS
     half = 1 << (b - 1)
     if n >= half:
-        raise CoefficientBoundError(n, row)
+        raise CoefficientBoundError(n, row, b)
     quo, rem = divmod(x, y)
     if rem:
-        raise ExactDivisionError(f"{unpack(c)} is not divisible by {unpack(d)}")
+        raise ExactDivisionError(f"{unpack(c, b)} is not divisible by "
+                                 f"{unpack(d, b)}")
     digits = _digits(quo, b)
     if max(map(abs, digits), default=0) * dn >= half:
-        return pack(unpack(c).exact_div(unpack(d)))
+        return pack(unpack(c, b).exact_div(unpack(d, b)), b)
     return e - d0, quo, sum(map(abs, digits))
 
 
 class PolyAccumulator:
-    """Mutable map {key: packed polynomial} that sums products in place.
+    """Mutable map {key: polynomial packed at width b} that sums products
+    in place.
 
     Each value is a cell [e0, x, n] (see `pack`), so a multiply-add is one
     int product and one shift; a cell's e0 drops whenever a term lands
     below it.  Nothing is decoded while terms are added: `coefficient`
     decodes one cell and `freeze` normalizes them all, both only under a
-    carried bound below 2^(DIGIT_BITS-1).
+    carried bound below 2^(b-1).
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("b", "cells")
 
-    def __init__(self, cells=None):
+    def __init__(self, b: int, cells=None):
+        self.b = b
         self.cells = {} if cells is None else cells
 
     def add_scaled(self, scalar, terms) -> None:
-        """self[key] += scalar * c for every (key, c) in terms, all packed."""
+        """self[key] += scalar * c for every (key, c) in terms, all packed
+        at width self.b."""
         cells = self.cells
         s0, sx, sn = scalar
-        b = DIGIT_BITS
+        b = self.b
         for key, (e, x, n) in terms:
             _add_cell(cells, key, e + s0, sx * x, sn * n, b)
 
     def coefficient(self, key) -> LaurentPoly:
         c = self.cells.get(key)
-        return unpack(c, key) if c else ZERO
+        return unpack(c, self.b, key) if c else ZERO
 
     def freeze(self) -> dict:
         """{key: (e0, x, n)}: zeros dropped, e0 the least exponent, and a
-        bound that has passed 2^(DIGIT_BITS/2) tightened to the exact
-        l1 norm by decoding, so products in the next degree start small."""
-        b = DIGIT_BITS
+        bound that has passed 2^(b/2) tightened to the exact l1 norm by
+        decoding, so products in the next degree start small."""
+        b = self.b
         half, tight = 1 << (b - 1), 1 << (b // 2)
         out = {}
         for key, (e, x, n) in self.cells.items():
             if n >= half:
-                raise CoefficientBoundError(n, key)
+                raise CoefficientBoundError(n, key, b)
             if x:
                 low = ((x & -x).bit_length() - 1) // b
                 if low:

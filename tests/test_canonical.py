@@ -205,24 +205,41 @@ class TestSolverProperties:
 class TestPackedBound:
     """The solver's digit bound, at digit widths narrow enough to reach it."""
 
-    def test_narrow_digits_refuse_with_context(self, monkeypatch):
-        monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
+    def test_narrow_digits_widen_once_then_refuse_with_context(self,
+                                                               monkeypatch):
+        # 4-bit digits overflow at m=10; the solver re-solves there at 8
+        # bits, and refuses when 8-bit digits overflow too
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
         solver = CanonicalBasis(3)
+        solver.matrix(9)
+        assert solver._bits == 4
         solver.matrix(20)
+        assert solver._bits == 8
         with pytest.raises(CoefficientBoundError,
                            match=r"^h=3 m=21 column \(9, 7, 4, 1\): row "
-                                 r"\(10, 7, 4\): carried coefficient bound"):
+                                 r"\(10, 7, 4\): carried coefficient bound "
+                                 r"\d+ >= 2\^7$"):
             solver.matrix(21)
+
+    def test_widened_degrees_match(self, monkeypatch):
+        # a degree re-solved at doubled digits, and the degrees after it,
+        # equal the 32-bit solve; the 32-bit columns are read after the
+        # patch, so they must decode at the width they were packed at
+        want = [canonical_basis(3, m) for m in range(23)]
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
+        narrow = CanonicalBasis(3)
+        assert [narrow.matrix(m) for m in range(23)] == want
+        assert narrow._bits == 16
 
     def test_tightened_bounds_reach_deeper(self, monkeypatch):
         # carried bounds compound from degree to degree unless each column's
         # large bounds are tightened when it is frozen: without that, 16-bit
         # digits overflow at h=3 m=22
-        wide = CanonicalBasis(3)
-        want = [wide.matrix(m).to_json() for m in range(23)]    # decoded at 32
+        want = [canonical_basis(3, m) for m in range(23)]
         monkeypatch.setattr(laurent, "DIGIT_BITS", 16)
         narrow = CanonicalBasis(3)
-        assert [narrow.matrix(m).to_json() for m in range(23)] == want
+        assert [narrow.matrix(m) for m in range(23)] == want
+        assert narrow._bits == 16
 
     def test_columns_stay_packed(self):
         M = canonical_basis(3, 12)

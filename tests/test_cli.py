@@ -223,7 +223,8 @@ class TestInternalErrors:
 
     def test_coefficient_bound_exit_code_3(self, capsys, monkeypatch):
         from spinfock import laurent
-        monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
+        # 4-bit digits, doubled once to 8 bits, overflow at h=3 m=21
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
         code, out, err = run(capsys, "canonical", "--n", "1", "--m", "21")
         assert code == 3
         assert out == ""

@@ -1,6 +1,8 @@
 import pytest
 
-from spinfock.laurent import LaurentPoly, ONE, q_factorial, unpack
+from spinfock import laurent
+from spinfock.laurent import (DIGIT_BITS as B, CoefficientBoundError,
+                              LaurentPoly, ONE, q_factorial, unpack)
 from spinfock.fock import (
     FockVector,
     UncoveredDisorderError,
@@ -158,8 +160,9 @@ class TestLocalRule:
                     fact = q_factorial(k, i, n)
                     want = FockVector({mu: c.exact_div(fact)
                                        for mu, c in v.terms()})
-                    got = FockVector({mu: unpack(c) for mu, c
-                                      in fock._f_divided(h, i, n, k, lam).items()})
+                    image = fock._f_divided(h, i, n, k, {lam: fock.UNIT}, B)
+                    got = FockVector({mu: unpack(c, B)
+                                      for mu, c in image.items()})
                     assert got == want, (lam, i, k)
                     if not v:
                         break
@@ -288,7 +291,7 @@ class TestDividedPowers:
 
 
 class TestArbitraryCoefficients:
-    """Public actions never meet the packing's digit bound."""
+    """Public actions stay exact: their packing widens for any coefficient."""
 
     HUGE = LaurentPoly({-50: 10**40})
 
@@ -310,6 +313,21 @@ class TestArbitraryCoefficients:
         v = FockVector.basis((2,)).scaled(self.HUGE)
         got = apply_f_divided(3, 1, 2, v)
         assert got == vec({(4,): {-48: 10**40}, (3, 1): {-50: 10**40}})
+
+    def test_narrow_digits_widen_instead_of_refusing(self, monkeypatch):
+        # at 4-bit digits the packed actions overflow; each is repeated at
+        # doubled widths, so every public action still answers exactly
+        labels = [(5, 4, 2), (6, 5, 4, 3, 1), (10, 9, 6, 5, 4, 1)]
+        actions = [apply_f, apply_e] + [
+            lambda h, i, v, k=k: apply_f_divided(h, i, k, v)
+            for k in (2, 3, 4)]
+        want = [action(5, i, FockVector.basis(lam)) for action in actions
+                for lam in labels for i in range(3)]
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
+        with pytest.raises(CoefficientBoundError):
+            fock._f_divided(5, 2, 2, 3, {(5, 4, 2): fock.UNIT}, 4)
+        assert [action(5, i, FockVector.basis(lam)) for action in actions
+                for lam in labels for i in range(3)] == want
 
 
 class TestCommutators:

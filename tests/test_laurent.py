@@ -27,6 +27,7 @@ def in_q_z_of_q(p):
     return min(p.coeffs(), default=1) >= 1
 
 
+B = DIGIT_BITS
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(poly)
 
 
@@ -170,30 +171,30 @@ class TestPolyAccumulator:
 
     @given(st.lists(st.tuples(polys, st.sampled_from("abc"), polys), max_size=6))
     def test_matches_poly_arithmetic(self, products):
-        acc = PolyAccumulator()
+        acc = PolyAccumulator(B)
         expected = {}
         for scalar, key, p in products:
-            acc.add_scaled(pack(scalar), [(key, pack(p))])
+            acc.add_scaled(pack(scalar, B), [(key, pack(p, B))])
             expected[key] = expected.get(key, ZERO) + scalar * p
         for key in "abc":
             assert acc.coefficient(key) == expected.get(key, ZERO)
         frozen = acc.freeze()
-        assert {k: unpack(c) for k, c in frozen.items()} == {
+        assert {k: unpack(c, B) for k, c in frozen.items()} == {
             k: v for k, v in expected.items() if v}
         # normalized: e0 is the least exponent
         assert all(e0 == min(expected[k].coeffs())
                    for k, (e0, _, _) in frozen.items())
 
     def test_cancellation_is_pruned(self):
-        acc = PolyAccumulator()
+        acc = PolyAccumulator(B)
         p = poly({-1: 2, 3: 1})
-        acc.add_scaled(pack(ONE), [("a", pack(p)), ("b", pack(ONE))])
-        acc.add_scaled(pack(-ONE), [("a", pack(p))])
+        acc.add_scaled(pack(ONE, B), [("a", pack(p, B)), ("b", pack(ONE, B))])
+        acc.add_scaled(pack(-ONE, B), [("a", pack(p, B))])
         assert acc.coefficient("a") == ZERO
         assert acc.freeze() == {"b": (0, 1, 1)}
 
 
-HALF = 1 << (DIGIT_BITS - 1)
+HALF = 1 << (B - 1)
 extreme = st.sampled_from([HALF - 1, -(HALF - 1)])
 wide_polys = st.dictionaries(
     st.integers(-60, 60), st.one_of(st.integers(-9, 9), extreme),
@@ -206,60 +207,61 @@ class TestPacked:
     @given(wide_polys)
     def test_digits_round_trip(self, p):
         # balanced digits decode exactly while every |a| < 2^(B-1) ...
-        e0, x, n = pack(p)
+        e0, x, n = pack(p, B)
         assert n == sum(abs(a) for a in p.coeffs().values())
-        digits = _digits(x, DIGIT_BITS)
+        digits = _digits(x, B)
         assert {e0 + k: d for k, d in enumerate(digits) if d} == p.coeffs()
         # ... and unpack reads them back only under its l1 bound
         if n < HALF:
-            assert unpack((e0, x, n)) == p
+            assert unpack((e0, x, n), B) == p
         else:
             with pytest.raises(CoefficientBoundError):
-                unpack((e0, x, n))
+                unpack((e0, x, n), B)
 
     def test_unpack_refuses_at_the_bound(self):
-        assert unpack((-3, HALF - 1, HALF - 1)) == poly({-3: HALF - 1})
+        assert unpack((-3, HALF - 1, HALF - 1), B) == poly({-3: HALF - 1})
         with pytest.raises(CoefficientBoundError, match=r"row \(2, 1\)"):
-            unpack((0, 1, HALF), (2, 1))
+            unpack((0, 1, HALF), B, (2, 1))
 
     def test_freeze_refuses_at_the_bound(self):
-        acc = PolyAccumulator({"a": [0, 1, 1], "b": [0, 1, HALF]})
+        acc = PolyAccumulator(B, {"a": [0, 1, 1], "b": [0, 1, HALF]})
         with pytest.raises(CoefficientBoundError, match="row b"):
             acc.freeze()
         with pytest.raises(CoefficientBoundError, match="row b"):
             acc.coefficient("b")
 
     def test_freeze_normalizes_and_tightens(self):
-        x = (5 << (2 * DIGIT_BITS)) - (3 << (3 * DIGIT_BITS))
-        acc = PolyAccumulator({"a": [-4, x, 1 << 20], "z": [0, 0, 7]})
-        assert acc.freeze() == {"a": (-2, 5 - (3 << DIGIT_BITS), 8)}
+        x = (5 << (2 * B)) - (3 << (3 * B))
+        acc = PolyAccumulator(B, {"a": [-4, x, 1 << 20], "z": [0, 0, 7]})
+        assert acc.freeze() == {"a": (-2, 5 - (3 << B), 8)}
 
     @given(polys, st.integers(2, 4), st.integers(0, 2))
     def test_exact_quotient_inverts_multiplication(self, p, k, i):
         fact = q_factorial(k, i, 2)
-        e0, x, n = exact_quotient(pack(p * fact), pack(fact))
-        assert unpack((e0, x, n)) == p
+        e0, x, n = exact_quotient(pack(p * fact, B), pack(fact, B), B)
+        assert unpack((e0, x, n), B) == p
         if p:
             assert e0 == min(p.coeffs())
 
     def test_exact_quotient_refuses_a_remainder(self):
         with pytest.raises(ExactDivisionError):
-            exact_quotient(pack(poly({1: 1})), pack(q_factorial(2, 1, 1)))
+            exact_quotient(pack(poly({1: 1}), B),
+                           pack(q_factorial(2, 1, 1), B), B)
 
     def test_integer_divisibility_is_not_enough(self):
         # with t = 2^(B-2), t + 2q at q = 2^B is 9t = 3 * (2^B - t), yet
         # t + 2q = 2(q - t) + 3t is no multiple of q - t: the quotient 3
         # fails the digit check, and exact_div finds the remainder
-        t = 1 << (DIGIT_BITS - 2)
-        c, d = pack(poly({0: t, 1: 2})), pack(poly({0: -t, 1: 1}))
+        t = 1 << (B - 2)
+        c, d = pack(poly({0: t, 1: 2}), B), pack(poly({0: -t, 1: 1}), B)
         assert c[1] % d[1] == 0
         with pytest.raises(ExactDivisionError):
-            exact_quotient(c, d)
+            exact_quotient(c, d, B)
 
     def test_exact_quotient_refuses_at_the_bound(self):
-        fact = pack(q_factorial(2, 1, 1))
+        fact = pack(q_factorial(2, 1, 1), B)
         with pytest.raises(CoefficientBoundError, match="row x"):
-            exact_quotient((0, fact[1], HALF), fact, "x")
+            exact_quotient((0, fact[1], HALF), fact, B, "x")
 
 
 class TestEvalAndJson:
