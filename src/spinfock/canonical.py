@@ -25,12 +25,13 @@ reduction, one int product and shift per (label, coefficient) pair;
 symmetrize_tail decodes only the coefficients of the block's earlier
 labels.  The accumulator is frozen once, into a fock.PackedVector, before
 the column is validated.  A column is a FockVector that decodes on read,
-so BasisMatrix serves LaurentPoly entries and the CLI decodes only the
-degree it prints.  A carried bound that reaches 2^(b-1) raises
-CoefficientBoundError (never a guess); the solver then re-solves that
-degree, and keeps solving later ones, at b = 2B.  Only a bound that
-reaches 2^(2B-1) stops it, with an error naming h, m, the column and the
-row.  Residue contents are cached per label for the solver's lifetime.
+so BasisMatrix serves LaurentPoly entries, and its JSON writer reads the
+digits directly, with no LaurentPoly and no to_json tree.  A carried bound
+that reaches 2^(b-1) raises CoefficientBoundError (never a guess); the
+solver then re-solves that degree, and keeps solving later ones, at
+b = 2B.  Only a bound that reaches 2^(2B-1) stops it, with an error naming
+h, m, the column and the row.  Residue contents are cached per label for
+the solver's lifetime.
 
 One generator, column_failures, states the five column conditions: the
 solver raises on the first failure of each new column, check_basis_matrix
@@ -52,7 +53,7 @@ from itertools import accumulate
 from operator import ge
 
 from .laurent import (CoefficientBoundError, LaurentPoly, ONE, PolyAccumulator,
-                      pack, symmetrize_tail)
+                      pack, packed_terms, symmetrize_tail)
 from . import laurent
 from .fock import UNIT, FockVector, PackedVector, _act, _f_divided
 from . import partitions as pt
@@ -79,6 +80,21 @@ def a_vector(h: int, mu) -> FockVector:
         return terms
 
     return _act(h, FockVector.basis(()), monomial)
+
+
+_P6, _P10 = "\n" + " " * 6, "\n" + " " * 10
+_COLUMN = ('\n    {%s"label": %%s,%s"bottom": %%s,%s"entries": %%s\n    }'
+           % ((_P6,) * 3))
+_ENTRY = '{%s"row": %%s,%s"poly": %%s\n        }' % ((_P10,) * 2)
+
+
+def _json_block(items, pad, brackets="[]") -> str:
+    """Indent-2 JSON of a list (or object) of item texts, opened at `pad`."""
+    ipad = "," + pad + "  "
+    body = ipad.join(items)
+    if not body:
+        return brackets
+    return brackets[0] + ipad[1:] + body + pad + brackets[1]
 
 
 def render_table(M, row_name) -> str:
@@ -142,21 +158,35 @@ class BasisMatrix:
                 and self.columns == other.columns)
 
     def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "m": self.m,
-            "columns": [
-                {
-                    "label": list(mu),
-                    "bottom": list(self.bottom_label(mu)),
-                    "entries": [
-                        {"row": list(lam), "poly": poly.to_json()}
-                        for lam, poly in self.columns[mu].sorted_terms()
-                    ],
-                }
-                for mu in self.labels
-            ],
-        }
+        columns = []
+        for mu in self.labels:
+            terms = self.columns[mu].sorted_terms()     # bottom row first
+            columns.append({"label": list(mu), "bottom": list(terms[0][0]),
+                            "entries": [{"row": list(lam), "poly": p.to_json()}
+                                        for lam, p in terms]})
+        return {"h": self.h, "m": self.m, "columns": columns}
+
+    def json_chunks(self):
+        """json.dumps(self.to_json(), indent=2) + "\\n", one string per
+        column, from the packed digits (laurent.packed_terms, so guarded);
+        each row label is rendered once per call."""
+        rows = {}
+        sep = '{\n  "h": %d,\n  "m": %d,\n  "columns": [' % (self.h, self.m)
+        for mu in self.labels:
+            col = self.columns[mu]
+            terms = sorted(col.packed.items(), reverse=True)    # bottom first
+            entries = []
+            for lam, c in terms:
+                row = rows.get(lam)
+                if row is None:
+                    row = rows[lam] = _json_block(map(str, lam), _P10)
+                poly = ['"%d": %d' % t for t in packed_terms(c, col.bits, lam)]
+                entries.append(_ENTRY % (row, _json_block(poly, _P10, "{}")))
+            yield sep + _COLUMN % (_json_block(map(str, mu), _P6),
+                                   _json_block(map(str, terms[0][0]), _P6),
+                                   _json_block(entries, _P6))
+            sep = ","
+        yield ("\n  ]" if self.labels else sep + "]") + "\n}\n"
 
     def render_table(self) -> str:
         """Aligned text table: rows DP_h(m), columns DPR_h(m), decreasing lex."""

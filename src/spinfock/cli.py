@@ -4,30 +4,32 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (a broken engine invariant: a canonical column failing its checks, an
 inexact divided power, a packed coefficient past even the solver's widened
 digits, an unstraightenable wedge word or an inconsistent ladder or crystal
-string).  Output is deterministic.  canonical and decomp emit their matrix
-through one path, _emit_matrix, as an aligned table, CSV or JSON;
-canonical hands it only the solved matrix, so the solver and its lower
-degrees are freed before serialisation.  All JSON goes through one writer,
-_emit_json, not json.dump: exactly json.dumps(obj, indent=2) and a
-newline, the outer two levels written in pieces, never as one string.  Only
-verify imports the verify module.
+string), 141 when the reader closes stdout early.  Output is deterministic.
+canonical and decomp emit their matrix through one path, _emit_matrix, as
+an aligned table, CSV or JSON; canonical hands it only the solved matrix,
+so the solver and its lower degrees are freed before serialisation.  JSON
+is exactly json.dumps(obj, indent=2) and a newline, in pieces, never one
+string: a BasisMatrix's from BasisMatrix.json_chunks, all other JSON from
+one generic writer, _emit_json.  Only verify imports the verify module.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import partitions as pt
 from . import crystal
 from . import modular
-from .canonical import CanonicalBasis, CanonicalBasisError
+from .canonical import BasisMatrix, CanonicalBasis, CanonicalBasisError
 from .fock import UncoveredDisorderError
 from .laurent import CoefficientBoundError, ExactDivisionError
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+CLOSED_PIPE = 141       # 128 + SIGPIPE, as a shell reports a piped-to head
 _INTERNAL_ERRORS = (CanonicalBasisError, CoefficientBoundError,
                     ExactDivisionError, UncoveredDisorderError,
                     pt.InvariantError)
@@ -96,6 +98,9 @@ def _emit_matrix(M, fmt) -> int:
         sys.stdout.write(M.render_table())
     elif fmt == "csv":
         sys.stdout.write(M.to_csv())
+    elif isinstance(M, BasisMatrix):
+        for chunk in M.json_chunks():
+            sys.stdout.write(chunk)
     else:
         _emit_json(M.to_json())
     return 0
@@ -224,7 +229,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()              # so a closed pipe raises in here
+        return code
+    except BrokenPipeError:     # the interpreter's last flush goes nowhere
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return CLOSED_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -11,11 +11,11 @@ sum_k a_k q^(e0+k) is the triple (e0, x, n) with x = sum_k a_k 2^(b*k) and
 n a carried upper bound on its l1 norm sum_k |a_k|.  Sums and products of
 the ints are exact whatever the digits do, so one product and one shift
 stand for a whole polynomial multiply-add.  Reading the digits back is
-exact only while every |a_k| < 2^(b-1): `unpack`, `PolyAccumulator.freeze`
-and `exact_quotient` refuse with CoefficientBoundError once n reaches that
-bound, and never guess.  Every packing starts at b = DIGIT_BITS; a caller
-that meets the refusal repeats its work at a wider b (fock._act,
-canonical.CanonicalBasis._solve_degree).
+exact only while every |a_k| < 2^(b-1): `packed_terms` (the decoder),
+`PolyAccumulator.freeze` and `exact_quotient` refuse with
+CoefficientBoundError once n reaches that bound, and never guess.  Every
+packing starts at b = DIGIT_BITS; a caller that meets the refusal repeats
+its work at a wider b (fock._act, canonical.CanonicalBasis._solve_degree).
 """
 
 from __future__ import annotations
@@ -225,14 +225,19 @@ def _digits(x: int, b: int) -> list:
     return out
 
 
-def unpack(c, b: int, row=None) -> LaurentPoly:
-    """The LaurentPoly of a packed (e0, x, n) at digit width b, refused
-    unless n < 2^(b-1)."""
+def packed_terms(c, b: int, row=None) -> list:
+    """The nonzero (exponent, coefficient) pairs of a packed (e0, x, n) at
+    width b, refused unless n < 2^(b-1): the one decoder of packed digits."""
     e0, x, n = c
     if n >= 1 << (b - 1):
         raise CoefficientBoundError(n, row, b)
+    return [(e0 + k, d) for k, d in enumerate(_digits(x, b)) if d]
+
+
+def unpack(c, b: int, row=None) -> LaurentPoly:
+    """The LaurentPoly of a packed (e0, x, n) at digit width b."""
     out = LaurentPoly.__new__(LaurentPoly)
-    out._c = {e0 + k: d for k, d in enumerate(_digits(x, b)) if d}
+    out._c = dict(packed_terms(c, b, row))
     return out
 
 

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinfock import laurent
-from spinfock.laurent import CoefficientBoundError, LaurentPoly, ONE
+from spinfock.laurent import CoefficientBoundError, LaurentPoly, ONE, pack
 from spinfock.fock import FockVector, PackedVector
 from spinfock import partitions as pt
 from spinfock import crystal
@@ -294,6 +296,43 @@ class TestSerialization:
         assert col["bottom"] == [10]
         entry = next(e for e in col["entries"] if e["row"] == [4, 3, 2, 1])
         assert entry["poly"] == {"1": 1, "5": -1}
+
+    def test_writer_matches_to_json_on_hand_built_columns(self):
+        # negative exponents, zero digits inside a polynomial, coefficients
+        # near +-2^62 with an l1 norm just under 2^63, and columns packed
+        # at 32 and at 64 bits side by side
+        big = 1 << 62
+        columns = {
+            (5,): PackedVector({
+                (5,): pack(ONE, 32),
+                (4, 1): pack(LaurentPoly({-3: 7, 0: -2, 4: 1}), 32),
+                (2, 2, 1): pack(LaurentPoly({1: -(2 ** 30)}), 32),
+            }, 32),
+            (4, 1): PackedVector({
+                (4, 1): pack(LaurentPoly({-7: big - 1, -4: 1, 2: 3 - big}),
+                             64),
+                (3, 2): pack(LaurentPoly({-1: -big, 3: big - 5}), 64),
+                (5,): pack(LaurentPoly({1: 3}), 64),
+            }, 64),
+        }
+        M = BasisMatrix(3, 5, ((5,), (4, 1)), columns)
+        assert M.to_json()["columns"][1]["bottom"] == [5]
+        for M in (M, BasisMatrix(3, 5, (), {})):
+            spec = json.dumps(M.to_json(), indent=2) + "\n"
+            assert "".join(M.json_chunks()) == spec
+
+    @pytest.mark.parametrize("b", [8, 32, 64])
+    def test_writer_refuses_at_the_bound(self, b):
+        def matrix(n):
+            col = PackedVector({(1,): (0, 1, 1), (): (-2, 5, n)}, b)
+            return BasisMatrix(3, 1, ((1,),), {(1,): col})
+
+        half = 1 << (b - 1)
+        assert '"-2": 5' in "".join(matrix(half - 1).json_chunks())
+        with pytest.raises(CoefficientBoundError,
+                           match=rf"^row \(\): carried coefficient bound "
+                                 rf"{half} >= 2\^{b - 1}$"):
+            "".join(matrix(half).json_chunks())
 
     def test_table_rendering_is_fixture_rendering(self):
         M = canonical_basis(3, 10)

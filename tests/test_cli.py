@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -232,6 +236,47 @@ class TestInternalErrors:
         assert err.startswith("internal error at h=3 m=21: "
                               "CoefficientBoundError: h=3 m=21 column "
                               "(9, 7, 4, 1): row (10, 7, 4): ")
+
+    def test_writer_bound_exit_code_3(self, capsys, monkeypatch):
+        from spinfock import laurent
+        # a solved column at 8-bit digits whose carried bound is 2^7: the
+        # JSON writer refuses it rather than print digits that might lie
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
+        M = CanonicalBasis(3).matrix(5)
+        col = M.columns[(4, 1)]             # the first column, one entry
+        assert col.bits == 8
+        e0, x, _ = col.packed[(4, 1)]
+        col.packed[(4, 1)] = (e0, x, 1 << 7)
+        monkeypatch.setattr(CanonicalBasis, "matrix", lambda self, m: M)
+        code, out, err = run(capsys, "canonical", "--n", "1", "--m", "5",
+                             "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err == ("internal error at h=3 m=5: CoefficientBoundError: "
+                       "row (4, 1): carried coefficient bound 128 >= 2^7\n")
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the command quietly, exit 141."""
+
+    @pytest.mark.parametrize("m, lines", [
+        (25, 2),        # like `| head -2`: about 500 KB, closed mid-write
+        (3, 0),         # closed before the one buffered write is flushed
+    ])
+    def test_quiet_exit_141(self, m, lines):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spinfock.cli", "canonical", "--n", "1",
+             "--m", str(m), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestDeterminism:

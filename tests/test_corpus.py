@@ -49,6 +49,17 @@ def test_digests_match_corpus(h):
     assert not bad, f"h={h}: output changed at degrees {bad}"
 
 
+@pytest.mark.parametrize("h", sorted(GRID))
+def test_writer_matches_to_json(h):
+    # the CLI's packed JSON writer against its specification, to_json,
+    # at every degree of the corpus (m = 0 and its [] label included)
+    solver = CanonicalBasis(h)
+    for m in range(GRID[h] + 1):
+        M = solver.matrix(m)
+        spec = json.dumps(M.to_json(), indent=2) + "\n"
+        assert "".join(M.json_chunks()) == spec, f"h={h} m={m}"
+
+
 if __name__ == "__main__":
     corpus = {}
     for h, max_m in sorted(GRID.items()):
