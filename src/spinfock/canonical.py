@@ -38,9 +38,8 @@ solver raises on the first failure of each new column, check_basis_matrix
 reports every failure of a finished matrix.  Its integrality checks read
 each entry's least exponent (a packed entry's e0), and its triangularity
 check reads each row's running sums against the partial sums of the
-column label, computed once per column, rather than calling
-partitions.dominance_leq per row.  render_table and render_csv also render
-modular.ReducedMatrix.
+column label, computed once per column.  render_table and render_csv also
+render modular.ReducedMatrix.
 """
 
 from __future__ import annotations

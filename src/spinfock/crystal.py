@@ -16,43 +16,36 @@ from dataclasses import dataclass
 from . import partitions as pt
 
 
-def _phi(h, i, j):
-    count = 0
-    while pt.residue(h, j + count) == i:
+def _walk(h, i, start, step):
+    """Length of the run of letters start, start + step, ... of residue i:
+    phi of a letter j walks up from j, eps of j walks down from j - 1."""
+    count, j = 0, start
+    while pt.residue(h, j) == i:
         count += 1
         if count > h:
             raise pt.InvariantError(
-                f"{i}-string through {j} is longer than h={h}")
-    return count
-
-
-def _eps(h, i, j):
-    count = 0
-    while pt.residue(h, j - 1 - count) == i:
-        count += 1
-        if count > h:
-            raise pt.InvariantError(
-                f"{i}-string through {j} is longer than h={h}")
+                f"{i}-string through {start} is longer than h={h}")
+        j += step
     return count
 
 
 def phi_aff(h: int, i: int, j: int) -> int:
     """Steps from letter j to the end of its i-string."""
     pt.check_color(h, i)
-    return _phi(h, i, j)
+    return _walk(h, i, j, 1)
 
 
 def eps_aff(h: int, i: int, j: int) -> int:
     """Steps from letter j back to the origin of its i-string."""
     pt.check_color(h, i)
-    return _eps(h, i, j)
+    return _walk(h, i, j - 1, -1)
 
 
 def _suffix_stats(h, i, lam):
     """(letters, stats): letters[k] = (eps, phi) of the letter lam[k] and
     stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""
     n = pt.check_color(h, i)
-    letters = [(_eps(h, i, j), _phi(h, i, j)) for j in lam]
+    letters = [(_walk(h, i, j - 1, -1), _walk(h, i, j, 1)) for j in lam]
     r = len(lam)
     stats = [(0, 0)] * (r + 1)
     stats[r] = (0, 1 if i == n else 0)

@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 
 from .laurent import (CoefficientBoundError, LaurentPoly, ONE,
-                      PolyAccumulator, ZERO, _add_cell, exact_quotient, pack,
-                      q_factorial, unpack)
+                      PolyAccumulator, ZERO, _accumulate, _add_cell,
+                      exact_quotient, pack, q_factorial, unpack)
 from . import laurent
 from . import partitions as pt
 
@@ -73,9 +73,9 @@ class FockVector:
         return cls()
 
     @classmethod
-    def basis(cls, lam, coeff: LaurentPoly = ONE) -> "FockVector":
-        """The vector coeff|lam>; the label is kept as written, unchecked."""
-        return cls({tuple(lam): coeff})
+    def basis(cls, lam) -> "FockVector":
+        """The vector |lam>; the label is kept as written, unchecked."""
+        return cls({tuple(lam): ONE})
 
     def terms(self):
         return self._terms.items()
@@ -125,8 +125,6 @@ class FockVector:
         return self.scaled(-ONE)
 
     def scaled(self, poly) -> "FockVector":
-        if isinstance(poly, int):
-            poly = LaurentPoly.const(poly)
         if not poly:
             return FockVector()
         out = FockVector.__new__(FockVector)
@@ -235,24 +233,14 @@ def straighten(word, h, rng=None):
     return tuple(w), swaps
 
 
-def normal_order(word, h, rng=None) -> FockVector:
+def normal_order(word, h) -> FockVector:
     """Straighten a word into a single signed term (or the zero vector)."""
-    res = straighten(word, h, rng=rng)
+    res = straighten(word, h)
     if res is None:
         return FockVector()
     key, swaps = res
     sign = -1 if swaps % 2 else 1
     return FockVector({key: LaurentPoly({2 * swaps: sign})})
-
-
-def _accumulate(out, key, value):
-    """out[key] += value, dropping a zero sum; needs no zero of value's type."""
-    if key in out:
-        value = out[key] + value
-    if value:
-        out[key] = value
-    else:
-        out.pop(key, None)
 
 
 UNIT = (0, 1, 1)        # the packed coefficient 1

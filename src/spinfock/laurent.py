@@ -52,10 +52,6 @@ class LaurentPoly:
         else:
             self._c = {}
 
-    @classmethod
-    def const(cls, a: int) -> "LaurentPoly":
-        return cls({0: a})
-
     def coefficient(self, exponent: int) -> int:
         return self._c.get(exponent, 0)
 
@@ -83,11 +79,7 @@ class LaurentPoly:
             return NotImplemented
         c = dict(self._c)
         for e, a in other._c.items():
-            v = c.get(e, 0) + a
-            if v:
-                c[e] = v
-            elif e in c:
-                del c[e]
+            _accumulate(c, e, a)
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
@@ -110,12 +102,7 @@ class LaurentPoly:
         c = {}
         for e1, a1 in self._c.items():
             for e2, a2 in other._c.items():
-                e = e1 + e2
-                v = c.get(e, 0) + a1 * a2
-                if v:
-                    c[e] = v
-                elif e in c:
-                    del c[e]
+                _accumulate(c, e1 + e2, a1 * a2)
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = c
         return out
@@ -161,12 +148,7 @@ class LaurentPoly:
                 raise ExactDivisionError(f"{self} is not divisible by {divisor}")
             quo[e] = c
             for de, da in divisor._c.items():
-                ne = de + e
-                v = num.get(ne, 0) - da * c
-                if v:
-                    num[ne] = v
-                elif ne in num:
-                    del num[ne]
+                _accumulate(num, de + e, -da * c)
         return LaurentPoly(quo)
 
     def to_json(self) -> dict:
@@ -331,6 +313,16 @@ def _add_cell(cells, key, e, x, n, b):
         cell[1] = x + (cell[1] << (-b * d))
         cell[0] = e
     cell[2] += n
+
+
+def _accumulate(out, key, value):
+    """out[key] += value, dropping a zero sum; needs no zero of value's type."""
+    if key in out:
+        value = out[key] + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
 
 
 def _coerce(x):

@@ -15,7 +15,8 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import FockVector, _accumulate
+from .fock import FockVector
+from .laurent import _accumulate
 from .canonical import CanonicalBasis, a_vector, render_csv, render_table
 from . import partitions as pt
 from . import crystal

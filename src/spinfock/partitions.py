@@ -82,9 +82,9 @@ def in_dpr_h(h: int, lam) -> bool:
     return True
 
 
-def partitions(m: int, max_part=None):
+def partitions(m: int):
     """All partitions of m, decreasing lex order: DP_1, every part may repeat."""
-    return _dp_h_gen(1, m, m if max_part is None else max_part)
+    return _dp_h_gen(1, m, m)
 
 
 def _dp_h_gen(h, rem, bound):
@@ -274,14 +274,20 @@ def parse_partition(text: str) -> tuple:
     s = text.strip()
     if s in ("", "()", "0"):
         return ()
-    if "," in s:
-        return check_partition(tuple(int(x) for x in s.split(",")))
-    digits = [int(ch) for ch in s]
-    if 0 in digits or any(digits[i] < digits[i + 1] for i in range(len(digits) - 1)):
+    comma = "," in s
+    try:
+        parts = tuple(int(x) for x in (s.split(",") if comma else s))
+    except ValueError:
+        raise ValueError(f"cannot read {text!r} as a partition: give "
+                         "comma-separated parts (11,7,7,4) or single "
+                         "digits (3321)") from None
+    if comma:
+        return check_partition(parts)
+    if 0 in parts or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         return check_partition([int(s)])
-    return check_partition(digits)
+    return check_partition(parts)
 
 
-def format_partition(lam, sep: str = " ") -> str:
+def format_partition(lam) -> str:
     """Render like (5 4 1); the empty partition prints as ()."""
-    return "(" + sep.join(str(p) for p in lam) + ")"
+    return "(" + " ".join(str(p) for p in lam) + ")"

@@ -207,11 +207,13 @@ def shift_equivariance_holds(h: int, max_m: int) -> CheckResult:
 
 def _random_generator_words(rng, count):
     """Unstraightened words as produced inside the generator actions."""
-    words = []
+    words, pools = [], {}
     while len(words) < count:
         h = rng.choice((3, 5, 7))
         m = rng.randrange(1, 13)
-        pool = pt.enumerate_dp_h(h, m)
+        pool = pools.get((h, m))
+        if pool is None:
+            pool = pools[h, m] = pt.enumerate_dp_h(h, m)
         lam = pool[rng.randrange(len(pool))]
         k = rng.randrange(len(lam))
         delta = rng.choice((1, -1))
@@ -255,18 +257,15 @@ def quotient_intertwines(p: int, max_m: int) -> CheckResult:
             v = FockVector.basis(lam)
             cls = modular.classical_image(p, v)
             for i in range(n + 1):
-                got = modular.classical_image(p, apply_f(p, i, v))
-                want = modular.classical_f(p, i, cls)
-                if got != want:
-                    return CheckResult(
-                        f"quotient intertwiner p={p}", False,
-                        f"f_{i}|{lam}>: {got} != {want}")
-                got = modular.classical_image(p, apply_e(p, i, v))
-                want = modular.classical_e(p, i, cls)
-                if got != want:
-                    return CheckResult(
-                        f"quotient intertwiner p={p}", False,
-                        f"e_{i}|{lam}>: {got} != {want}")
+                for name, act, classical in (
+                        ("f", apply_f, modular.classical_f),
+                        ("e", apply_e, modular.classical_e)):
+                    got = modular.classical_image(p, act(p, i, v))
+                    want = classical(p, i, cls)
+                    if got != want:
+                        return CheckResult(
+                            f"quotient intertwiner p={p}", False,
+                            f"{name}_{i}|{lam}>: {got} != {want}")
     return CheckResult(f"quotient intertwiner p={p} m<={max_m}", True)
 
 

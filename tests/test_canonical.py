@@ -141,7 +141,7 @@ class TestMatrixChecks:
         for condition, row, poly, *column in self.BROKEN_ENTRIES:
             mu = column[0] if column else (4, 2, 1)
             broken = dict(M.columns)
-            broken[mu] = broken[mu] + FockVector.basis(row, LaurentPoly(poly))
+            broken[mu] = broken[mu] + FockVector.basis(row).scaled(LaurentPoly(poly))
             rep = check_basis_matrix(BasisMatrix(3, 7, M.labels, broken))
             assert not rep.ok
             assert (mu, condition) in {(c.column, c.condition)
@@ -151,7 +151,7 @@ class TestMatrixChecks:
         solver = CanonicalBasis(3)
         mu = (4, 2, 1)
         q = LaurentPoly({1: 1})
-        broken = solver.column(mu) + FockVector.basis((3, 3, 1), q)
+        broken = solver.column(mu) + FockVector.basis((3, 3, 1)).scaled(q)
         with pytest.raises(CanonicalBasisError,
                            match=r"column \(4, 2, 1\): triangular \(\(3, 3, 1\)\)"):
             solver._validate_column(mu, broken, 7)

@@ -154,6 +154,15 @@ class TestLaddersCommand:
         code, _, err = run(capsys, "ladders", "--n", "1", "--partition", "()")
         assert (code, err) == (2, "error: empty partition has no ladders\n")
 
+    def test_non_digit_partition_is_usage_error(self, capsys):
+        for argv in (["crystal", "--start", "1 2", "--max-degree", "4"],
+                     ["ladders", "--partition", "3a"]):
+            code, out, err = run(capsys, *argv, "--n", "1")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot read ")
+            assert err.count("\n") == 1
+            assert "comma-separated parts (11,7,7,4)" in err
+
 
 class TestVerifyCommand:
     def test_paper_suite(self, capsys):
@@ -175,6 +184,13 @@ class TestVerifyCommand:
         labels = [c["label"] for c in
                   obj["exports"]["reduced_matrix_p3_m11"]["columns"]]
         assert len(labels) == 5
+
+    def test_stdout_independent_of_seed(self, capsys):
+        # perfbench/run.py drops --seed from its expected-digest key
+        code0, out0, _ = run(capsys, "verify", "--suite", "all", "--seed", "0")
+        code7, out7, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
+        assert (code0, code7) == (0, 0)
+        assert out0 == out7
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from spinfock import laurent
@@ -16,7 +18,7 @@ from spinfock.fock import (
     weight,
     norm_squared,
 )
-from spinfock import fock
+from spinfock import fock, verify
 from spinfock import partitions as pt
 from spinfock import fixtures as fx
 
@@ -64,6 +66,32 @@ class TestNormalOrder:
             base = straighten(tuple(w), h)
             for _ in range(5):
                 assert straighten(tuple(w), h, rng=rng) == base
+
+    @staticmethod
+    def _per_word(rng, count):
+        """verify's word generator enumerating DP_h afresh for every word."""
+        words = []
+        while len(words) < count:
+            h = rng.choice((3, 5, 7))
+            m = rng.randrange(1, 13)
+            pool = pt.enumerate_dp_h(h, m)
+            lam = pool[rng.randrange(len(pool))]
+            k = rng.randrange(len(lam))
+            delta = rng.choice((1, -1))
+            w = list(lam)
+            w[k] += delta
+            if w[k] < 0:
+                continue
+            words.append((tuple(w), h))
+        return words
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 101])
+    @pytest.mark.parametrize("count", [1, 40, 2000])
+    def test_pooled_words_match_per_word_route(self, seed, count):
+        pooled, fresh = random.Random(seed), random.Random(seed)
+        assert (verify._random_generator_words(pooled, count)
+                == self._per_word(fresh, count))
+        assert pooled.getstate() == fresh.getstate()
 
 
 class TestLoweringFixtures:

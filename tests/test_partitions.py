@@ -311,6 +311,14 @@ class TestParsing:
         with pytest.raises(ValueError, match=r"decreasing: \(1, 2\)$"):
             pt.parse_partition("1,2")
 
+    @pytest.mark.parametrize("text", ["1 2", "3a", "1,a", "1,,2", "-"])
+    def test_non_digit_text_names_text_and_forms(self, text):
+        with pytest.raises(ValueError) as exc:
+            pt.parse_partition(text)
+        assert str(exc.value) == (
+            f"cannot read {text!r} as a partition: give comma-separated "
+            "parts (11,7,7,4) or single digits (3321)")
+
     def test_empty(self):
         assert pt.parse_partition("") == ()
         assert pt.parse_partition("()") == ()
