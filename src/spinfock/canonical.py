@@ -47,7 +47,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
 
@@ -131,7 +131,7 @@ class BasisMatrix:
     h: int
     m: int
     labels: tuple                       # DPR_h(m), decreasing lex
-    columns: dict = field(compare=False)
+    columns: dict
 
     def __post_init__(self):
         if set(self.labels) != set(self.columns):
@@ -150,11 +150,6 @@ class BasisMatrix:
     def bottom_label(self, mu) -> tuple:
         """Lex-greatest support row of a column (its lowest printed entry)."""
         return max(self.columns[tuple(mu)].support())
-
-    def __eq__(self, other):
-        return (isinstance(other, BasisMatrix)
-                and (self.h, self.m, self.labels) == (other.h, other.m, other.labels)
-                and self.columns == other.columns)
 
     def to_json(self) -> dict:
         columns = []

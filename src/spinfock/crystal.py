@@ -29,18 +29,6 @@ def _walk(h, i, start, step):
     return count
 
 
-def phi_aff(h: int, i: int, j: int) -> int:
-    """Steps from letter j to the end of its i-string."""
-    pt.check_color(h, i)
-    return _walk(h, i, j, 1)
-
-
-def eps_aff(h: int, i: int, j: int) -> int:
-    """Steps from letter j back to the origin of its i-string."""
-    pt.check_color(h, i)
-    return _walk(h, i, j - 1, -1)
-
-
 def _suffix_stats(h, i, lam):
     """(letters, stats): letters[k] = (eps, phi) of the letter lam[k] and
     stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""

@@ -69,10 +69,6 @@ class FockVector:
         self._terms = t
 
     @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
-    @classmethod
     def basis(cls, lam) -> "FockVector":
         """The vector |lam>; the label is kept as written, unchecked."""
         return cls({tuple(lam): ONE})
@@ -94,15 +90,6 @@ class FockVector:
 
     def coefficient(self, lam) -> LaurentPoly:
         return self._terms.get(tuple(lam), ZERO)
-
-    def degree(self):
-        """Common degree of the labels; None for the zero vector."""
-        degs = {sum(lam) for lam in self._terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous vector, degrees {sorted(degs)}")
-        return degs.pop()
 
     def __len__(self):
         return len(self._terms)
@@ -139,15 +126,6 @@ class FockVector:
             if v:
                 out[lam] = v
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree(),
-            "terms": [
-                {"partition": list(lam), "poly": poly.to_json()}
-                for lam, poly in self.sorted_terms()
-            ],
-        }
 
     def __repr__(self):
         body = " + ".join(f"({poly})|{','.join(map(str, lam))}>"
@@ -194,12 +172,6 @@ class PackedVector(FockVector):
 
     def __len__(self):
         return len(self.packed)
-
-
-def _t_exp(h, i, j):
-    """Exponent of q by which t_i scales the letter j."""
-    arrows = (pt.residue(h, j) == i) - (pt.residue(h, j - 1) == i)
-    return (4 if i == 0 else 2) * arrows
 
 
 def straighten(word, h, rng=None):
@@ -286,9 +258,12 @@ def _raised(h, lam, k):
 
 @functools.lru_cache(maxsize=None)
 def _color_tables(h, i):
-    """Per residue j mod h: does f_i raise a letter j, and its t_i exponent."""
-    return (tuple(pt.residue(h, j) == i for j in range(h)),
-            tuple(_t_exp(h, i, j) for j in range(h)))
+    """Per residue j mod h: does f_i raise a letter j, and the exponent of
+    q by which t_i scales it (its i-arrows out minus in, times 4 at node 0,
+    else 2)."""
+    hit = tuple(pt.residue(h, j) == i for j in range(h))
+    scale = 4 if i == 0 else 2
+    return hit, tuple(scale * (hit[j] - hit[j - 1]) for j in range(h))
 
 
 def _f_raw(h, i, n, terms, b) -> dict:
@@ -322,15 +297,16 @@ def _f_raw(h, i, n, terms, b) -> dict:
 def _e_raw(h, i, n, terms, b) -> dict:
     """e_i on {label: (e0, x, n)} packed at width b, as cells at that
     width; letters left of the acted one pick up 1/t_i."""
+    hit, t_exp = _color_tables(h, i)
     out = {}
     for lam, c in terms.items():
         prefix = 0
         for k, j in enumerate(lam):
-            if pt.residue(h, j - 1) == i:
+            if hit[(j - 1) % h]:
                 word = lam[:k] + (j - 1,) + lam[k + 1:]
                 _add_term(out, straighten(word, h), c, prefix,
                           i == n and j % h == 0, b)
-            prefix -= _t_exp(h, i, j)
+            prefix -= t_exp[j % h]
     return out
 
 
@@ -399,10 +375,11 @@ def apply_e(h: int, i: int, v: FockVector) -> FockVector:
 def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
     """Torus element t_i (or its inverse): scales each label by a q power."""
     n = pt.check_color(h, i)
+    t_exp = _color_tables(h, i)[1]
     out = {}
     for lam, c in v.terms():
         pt.check_dp_h(h, lam)
-        e = sum(_t_exp(h, i, j) for j in lam) + (1 if i == n else 0)
+        e = sum(t_exp[j % h] for j in lam) + (1 if i == n else 0)
         out[lam] = c.shifted(-e if inverse else e)
     return FockVector(out)
 

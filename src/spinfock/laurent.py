@@ -67,9 +67,6 @@ class LaurentPoly:
             return NotImplemented
         return self._c == other._c
 
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
     def __neg__(self):
         return LaurentPoly({e: -a for e, a in self._c.items()})
 

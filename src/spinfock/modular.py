@@ -51,20 +51,13 @@ def character_image(p: int, vec: FockVector) -> dict:
 
 
 def strip_two_power(cv: dict) -> dict:
-    """Divide out the largest power of 2 dividing all coefficients."""
+    """Divide out the largest power of 2 dividing all coefficients; zero
+    coefficients are dropped."""
+    cv = {lam: v for lam, v in cv.items() if v}
     if not cv:
         raise ValueError("cannot normalize the zero character vector")
-
-    def val2(x):
-        x = abs(x)
-        k = 0
-        while x % 2 == 0:
-            x //= 2
-            k += 1
-        return k
-
-    k = min(val2(v) for v in cv.values())
-    return {lam: v // (2 ** k) for lam, v in cv.items()}
+    k = min((v & -v).bit_length() for v in cv.values()) - 1
+    return {lam: v >> k for lam, v in cv.items()}
 
 
 @dataclass(frozen=True)
@@ -81,11 +74,6 @@ class ReducedMatrix:
 
     def entry(self, lam, mu) -> int:
         return self.columns[tuple(mu)].get(tuple(lam), 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, ReducedMatrix)
-                and (self.p, self.m, self.labels) == (other.p, other.m, other.labels)
-                and self.columns == other.columns)
 
     def negative_entries(self) -> list:
         """Witnesses against the projective-character interpretation."""
@@ -123,6 +111,9 @@ def reduced_matrix(p: int, m: int, solver: CanonicalBasis = None) -> ReducedMatr
     p prime, but the computation is uniform.
     """
     solver = solver or CanonicalBasis(p)
+    if solver.h != p:
+        raise ValueError(f"reduced matrix at p={p} needs a solver at h={p}, "
+                         f"got h={solver.h}")
     M = solver.matrix(m)
     cols = {}
     for mu in M.labels:

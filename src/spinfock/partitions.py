@@ -207,28 +207,18 @@ def ladders(h: int, lam) -> LadderDecomposition:
 def remove_outer_ladder(h: int, lam) -> tuple:
     """Strip the last ladder; returns (smaller partition, residue, count).
 
-    The removed cells must form row suffixes, otherwise the input was not a
-    valid DP_h shape for this operation.
+    The last ladder is the one of largest index.  ladder_index never
+    decreases along a row, so its cells end their rows: each row just
+    loses its cells on that ladder.
     """
     dec = ladders(h, lam)
     lam = dec.partition
     if not lam:
         raise ValueError("empty partition has no ladders")
     top = dec.indices[-1]
-    res, _ = dec.steps[-1]
-    removed = {}
-    for k, part in enumerate(lam, start=1):
-        cols = [c for c in range(part) if ladder_index(h, k, c) == top]
-        if cols:
-            removed[k] = cols
-    count = sum(len(v) for v in removed.values())
-    new_rows = []
-    for k, part in enumerate(lam, start=1):
-        cols = removed.get(k, [])
-        if cols and set(cols) != set(range(part - len(cols), part)):
-            raise ValueError(f"outer ladder of {lam} is not a row suffix")
-        new_rows.append(part - len(cols))
-    nu = check_partition(new_rows)
+    res, count = dec.steps[-1]
+    nu = check_partition([sum(ladder_index(h, k, c) != top for c in range(part))
+                          for k, part in enumerate(lam, start=1)])
     return nu, res, count
 
 

@@ -285,7 +285,7 @@ def commutator_holds(h: int, max_degree: int, trials: int = 25,
     for _ in range(trials):
         m = rng.randrange(0, max_degree + 1)
         pool = pt.enumerate_dp_h(h, m)
-        v = FockVector.zero()
+        v = FockVector()
         for lam in rng.sample(pool, min(3, len(pool))):
             poly = LaurentPoly({rng.randrange(-3, 4): rng.randrange(-4, 5)
                                 for _ in range(2)})
@@ -295,7 +295,7 @@ def commutator_holds(h: int, max_degree: int, trials: int = 25,
         for i in range(n + 1):
             for j in range(n + 1):
                 lhs = apply_e(h, i, apply_f(h, j, v)) - apply_f(h, j, apply_e(h, i, v))
-                rhs = _commutator_rhs(h, i, v) if i == j else FockVector.zero()
+                rhs = _commutator_rhs(h, i, v) if i == j else FockVector()
                 if lhs != rhs:
                     return CheckResult(
                         f"commutator relation h={h}", False,

@@ -5,25 +5,35 @@ from spinfock import partitions as pt
 from spinfock import fixtures as fx
 
 
+def phi_letter(h, i, j):
+    """Steps from letter j to the end of its i-string."""
+    return crystal._walk(h, i, j, 1)
+
+
+def eps_letter(h, i, j):
+    """Steps from letter j back to the origin of its i-string."""
+    return crystal._walk(h, i, j - 1, -1)
+
+
 class TestLetterStrings:
     def test_rank_two_string_around_zero(self):
         # the colored string -1 -> 0 -> 1 at the short node
-        assert crystal.phi_aff(5, 2, 0) == 1
-        assert crystal.eps_aff(5, 2, 0) == 1
-        assert crystal.phi_aff(5, 2, -1) == 2
-        assert crystal.eps_aff(5, 2, 1) == 2
+        assert phi_letter(5, 2, 0) == 1
+        assert eps_letter(5, 2, 0) == 1
+        assert phi_letter(5, 2, -1) == 2
+        assert eps_letter(5, 2, 1) == 2
 
     @pytest.mark.parametrize("h", [3, 5, 7])
     def test_short_strings_for_other_colors(self, h):
         n = pt.rank(h)
         for i in range(n):
             for j in range(-h, 3 * h):
-                assert crystal.eps_aff(h, i, j) in (0, 1)
-                assert crystal.phi_aff(h, i, j) in (0, 1)
+                assert eps_letter(h, i, j) in (0, 1)
+                assert phi_letter(h, i, j) in (0, 1)
 
     def test_multiples_of_three(self):
         for k in range(0, 5):
-            assert crystal.phi_aff(3, 1, 3 * k) == 1
+            assert phi_letter(3, 1, 3 * k) == 1
 
     @pytest.mark.parametrize("h", [3, 5, 7])
     def test_eps_phi_walk_consistency(self, h):
@@ -31,9 +41,9 @@ class TestLetterStrings:
         for i in range(n + 1):
             for j in range(-h, 2 * h):
                 # moving one step along an arrow shifts the two statistics
-                if crystal.phi_aff(h, i, j):
-                    assert crystal.eps_aff(h, i, j + 1) == crystal.eps_aff(h, i, j) + 1
-                    assert crystal.phi_aff(h, i, j + 1) == crystal.phi_aff(h, i, j) - 1
+                if phi_letter(h, i, j):
+                    assert eps_letter(h, i, j + 1) == eps_letter(h, i, j) + 1
+                    assert phi_letter(h, i, j + 1) == phi_letter(h, i, j) - 1
 
 
 class TestOperators:
@@ -67,9 +77,6 @@ class TestOperators:
             for op in (crystal.ftilde, crystal.etilde, crystal.eps, crystal.phi):
                 with pytest.raises(ValueError, match=f"color {i} out of range"):
                     op(h, i, (2,))
-            for op in (crystal.phi_aff, crystal.eps_aff):
-                with pytest.raises(ValueError, match=f"color {i} out of range"):
-                    op(h, i, 2)
 
     def test_rejects_bad_vertex(self):
         with pytest.raises(ValueError):

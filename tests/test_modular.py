@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from spinfock import partitions as pt
 from spinfock import fixtures as fx
 from spinfock import modular
-from spinfock.canonical import canonical_basis
+from spinfock.canonical import CanonicalBasis, canonical_basis
 from spinfock.fock import FockVector, apply_f, apply_e
 
 
@@ -35,7 +39,7 @@ class TestCharacterImage:
         assert cv == {(5, 3, 2): 4, (8, 2): 4}
 
     def test_empty_column(self):
-        assert modular.character_image(3, FockVector.zero()) == {}
+        assert modular.character_image(3, FockVector()) == {}
 
     def test_ghost_rows_dropped(self):
         M = canonical_basis(3, 10)
@@ -64,6 +68,20 @@ class TestTwoPowerStrip:
         with pytest.raises(ValueError):
             modular.strip_two_power({})
 
+    def test_zero_coefficients_dropped(self):
+        # in a child process: the power of two was once sought by a loop
+        # that never ended on a zero coefficient, so a hang must fail here
+        code = ("from spinfock.modular import strip_two_power as s\n"
+                "print(s({(3,): 0, (2, 1): 4}), s({(3,): -6, (1,): 0}))\n"
+                "s({(3,): 0, (2, 1): 0})\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout == "{(2, 1): 1} {(3,): -3}\n"
+        assert proc.stderr.endswith(
+            "ValueError: cannot normalize the zero character vector\n")
+
 
 class TestReducedMatrix:
     def test_matches_embedded(self):
@@ -87,6 +105,10 @@ class TestReducedMatrix:
     def test_no_negative_entries(self):
         for m in range(0, 12):
             assert not modular.reduced_matrix(3, m).negative_entries()
+
+    def test_solver_for_another_modulus_rejected(self):
+        with pytest.raises(ValueError, match="p=5.*h=3"):
+            modular.reduced_matrix(5, 6, CanonicalBasis(3))
 
     def test_json(self):
         obj = modular.reduced_matrix(3, 10).to_json()
@@ -198,3 +220,57 @@ class TestCountsAndRanks:
     @pytest.mark.parametrize("m", range(0, 13))
     def test_rank_sweep(self, m):
         assert modular.independence_report(3, m).ok
+
+
+# G(5,5,4,3,2,1) at h = 5, m = 20 as {row: {exponent: coefficient}}: the
+# first canonical column with a negative q = 1 entry at p = 5, the -q^6 at
+# row (11,4,3,2), frozen so that any change to it is deliberate.
+G_554321_H5 = {
+    (11, 9): {7: 1, 9: 1},
+    (11, 5, 4): {5: 1},
+    (11, 4, 3, 2): {6: -1},
+    (10, 10): {6: 1},
+    (10, 9, 1): {5: 1},
+    (10, 8, 2): {5: 1},
+    (10, 7, 3): {5: 1},
+    (10, 6, 4): {3: 1, 5: 1, 7: 1},
+    (10, 5, 5): {4: 1},
+    (10, 5, 4, 1): {3: 1},
+    (10, 5, 3, 2): {5: 1},
+    (10, 4, 3, 2, 1): {4: 1},
+    (9, 8, 2, 1): {4: 1},
+    (9, 7, 3, 1): {4: 1},
+    (9, 6, 5): {3: 1, 5: 1},
+    (9, 6, 4, 1): {2: 1, 4: 1, 6: 1},
+    (9, 6, 3, 2): {4: 2, 6: 1},
+    (9, 5, 5, 1): {3: 1},
+    (9, 5, 3, 2, 1): {2: 2, 4: 1},
+    (8, 7, 5): {5: 1},
+    (8, 7, 4, 1): {4: 1},
+    (8, 6, 4, 2): {4: 2, 6: 2},
+    (8, 5, 5, 2): {3: 2},
+    (8, 5, 4, 2, 1): {2: 2},
+    (7, 6, 4, 3): {4: 1, 6: 1, 8: -1, 10: -1},
+    (7, 5, 5, 3): {3: 1, 7: -1},
+    (7, 5, 4, 3, 1): {2: 1, 6: -1},
+    (6, 5, 5, 4): {3: 1, 9: 1},
+    (6, 5, 4, 3, 2): {2: 1, 6: -1},
+    (5, 5, 5, 5): {2: 1},
+    (5, 5, 5, 4, 1): {1: 1},
+    (5, 5, 5, 3, 2): {1: 1},
+    (5, 5, 4, 3, 2, 1): {0: 1},
+}
+
+
+class TestFirstNegativeColumn:
+    MU = (5, 5, 4, 3, 2, 1)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_column_frozen(self, fast):
+        col = CanonicalBasis(5, fast=fast).column(self.MU)
+        assert len(G_554321_H5) == 33
+        assert {lam: c.coeffs() for lam, c in col.terms()} == G_554321_H5
+
+    def test_negative_entries(self):
+        assert modular.reduced_matrix(5, 20).negative_entries() == [
+            ((11, 4, 3, 2), self.MU)]
