@@ -132,6 +132,9 @@ def _sorted_vertices(vs):
 def component(h: int, start, max_degree: int) -> CrystalGraph:
     """All vertices reachable from `start` by lowering, up to max_degree."""
     start = pt.check_dp_h(h, start)
+    if sum(start) > max_degree:
+        raise ValueError(f"start {start} has degree {sum(start)}, above "
+                         f"max degree {max_degree}")
     n = pt.rank(h)
     seen = {start}
     edges = []

@@ -1,11 +1,11 @@
 """Specialization at q = 1 and the spin-character bookkeeping.
 
-Basis vectors with a repeated part span the null space of the natural form
-at q = 1 ("ghosts") and are dropped by the quotient map; a surviving strict
-label lam contributes on the self-associate character basis with the
-power-of-two scale 2^(b(lam) - a_p(lam)).  Character vectors are plain dicts
-{strict partition: coefficient}.  The classical part-replacement action is
-kept alongside as an independent cross-check of the q = 1 quotient.
+Ghosts, the non-strict labels, span the null space of the natural form at
+q = 1 and are dropped by the quotient map; a surviving strict label lam
+contributes on the self-associate character basis with the power-of-two
+scale 2^(b(lam) - a_p(lam)).  Character vectors are plain dicts {strict
+partition: coefficient}.  The classical part-replacement action is the
+cross-check of this quotient (the intertwiner check of `verify`).
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from . import partitions as pt
 from . import crystal
 
 
-def is_ghost(lam) -> bool:
-    """Labels with a repeated part die in the q = 1 quotient."""
-    return not pt.is_strict(lam)
-
-
 def dp_sign(lam) -> int:
     """+1 when the number of even parts is even (self-associate class)."""
     return -1 if sum(1 for p in lam if p % 2 == 0) % 2 else 1
@@ -41,7 +36,7 @@ def character_image(p: int, vec: FockVector) -> dict:
     pt.check_h(p)
     out = {}
     for lam, value in vec.at_one().items():
-        if is_ghost(lam):
+        if not pt.is_strict(lam):
             continue
         e = pt.b_exponent(lam) - pt.a_h(p, lam)
         if e < 0:
@@ -204,88 +199,45 @@ def reduce_external_matrix(ext: ExternalMatrix, p: int) -> ReducedMatrix:
 
 # -- classical part-replacement action ---------------------------------------
 
-def f_infinity(j: int, v: dict) -> dict:
-    """Replace a part j by j+1 in each label (j = 0 appends a part 1).
-
-    Labels acquiring a repeated part die.  Coefficients pass through
-    unchanged, so ints and Fractions both work.
-    """
-    if j < 0:
-        raise ValueError("letter index must be >= 0")
-    out = {}
-    for lam, c in v.items():
-        if j == 0:
-            if 1 in lam:
-                continue
-            mu = tuple(sorted(lam + (1,), reverse=True))
-        else:
-            if j not in lam or j + 1 in lam:
-                continue
-            mu = tuple(sorted([p + 1 if p == j else p for p in lam], reverse=True))
-        _accumulate(out, mu, c)
-    return out
-
-
-def e_infinity(j: int, v: dict) -> dict:
-    """Replace a part j+1 by j in each label (j = 0 deletes a part 1)."""
-    if j < 0:
-        raise ValueError("letter index must be >= 0")
-    out = {}
-    for lam, c in v.items():
-        if j + 1 not in lam:
-            continue
-        if j > 0 and j in lam:
-            continue
-        mu = tuple(sorted([p for p in lam if p != j + 1] + ([j] if j else []),
-                          reverse=True))
-        _accumulate(out, mu, c)
-    return out
-
-
 def classical_f(p: int, i: int, v: dict) -> dict:
-    """Affine lowering on the classical side: sum of f_infinity over the class."""
+    """Classical lowering: in each label a part j with residue(p, j) == i
+    becomes j + 1 (j = 0 appends a part 1); a label that would repeat a
+    part dies.  Coefficients pass through, so ints and Fractions both work.
+    """
     pt.check_color(p, i)
     out = {}
     for lam, c in v.items():
         for j in set(lam) | {0}:
-            if pt.residue(p, j) == i:
-                for mu, a in f_infinity(j, {lam: c}).items():
-                    _accumulate(out, mu, a)
+            if pt.residue(p, j) == i and j + 1 not in lam:
+                mu = (tuple(x + 1 if x == j else x for x in lam) if j
+                      else lam + (1,))
+                _accumulate(out, mu, c)
     return out
 
 
 def classical_e(p: int, i: int, v: dict) -> dict:
-    """Affine raising on the classical side.
-
-    The sum runs over the indices j with residue(p, j) == i, each replacing a
-    part j+1 by j; for i = n every positive j enters with multiplicity 2.
+    """Classical raising: in each label a part j + 1 with residue(p, j) == i
+    becomes j (j = 0 deletes it); a label that would repeat a part dies.
+    For i = n every positive j enters with multiplicity 2.
     """
     n = pt.check_color(p, i)
     out = {}
     for lam, c in v.items():
         for x in lam:
             j = x - 1
-            if pt.residue(p, j) != i:
-                continue
-            mult = 2 if i == n and j else 1
-            for mu, a in e_infinity(j, {lam: c}).items():
-                _accumulate(out, mu, mult * a)
+            if pt.residue(p, j) == i and j not in lam:
+                mu = tuple(j if y == x else y for y in lam) if j else lam[:-1]
+                _accumulate(out, mu, 2 * c if i == n and j else c)
     return out
 
 
 def classical_image(p: int, vec: FockVector) -> dict:
-    """Quotient map at q = 1 onto the classical P-basis.
-
-    A strict label lam maps to 2^(-a_p(lam)) P_lam; ghosts map to zero.
-    Coefficients are exact Fractions.
+    """Quotient map at q = 1 onto the classical P-basis: the character image
+    divided by 2^b(lam), so a strict label lam maps to 2^(-a_p(lam)) P_lam
+    and a ghost to zero.  Coefficients are exact Fractions.
     """
-    pt.check_h(p)
-    out = {}
-    for lam, value in vec.at_one().items():
-        if is_ghost(lam):
-            continue
-        out[lam] = Fraction(value, 2 ** pt.a_h(p, lam))
-    return out
+    return {lam: Fraction(value, 2 ** pt.b_exponent(lam))
+            for lam, value in character_image(p, vec).items()}
 
 
 # -- counting and rank reports ------------------------------------------------

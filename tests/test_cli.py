@@ -53,6 +53,12 @@ class TestCrystalCommand:
         obj = json.loads(out)
         assert obj["vertices"] == [[]]
 
+    def test_start_above_bound_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "crystal", "--n", "1", "--start", "3",
+                             "--max-degree", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: start (3,) has degree 3, above max degree 2\n"
+
     def test_invalid_start(self, capsys):
         code, _, err = run(capsys, "crystal", "--n", "1", "--start", "2,2",
                            "--max-degree", "4")
@@ -191,6 +197,13 @@ class TestVerifyCommand:
         code7, out7, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
         assert (code0, code7) == (0, 0)
         assert out0 == out7
+
+    @pytest.mark.parametrize("suite", ["paper", "properties", "all"])
+    def test_negative_max_degree_is_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--max-degree", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: max degree must be nonnegative, got -1\n"
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

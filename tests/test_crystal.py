@@ -125,6 +125,12 @@ class TestComponent:
         assert graph.vertices == ((),)
         assert graph.edges == ()
 
+    def test_start_above_bound_rejected(self):
+        with pytest.raises(ValueError, match=r"start \(3,\) has degree 3, "
+                                             r"above max degree 2"):
+            crystal.component(3, (3,), 2)
+        assert crystal.component(3, (3,), 3).vertices == ((3,),)
+
     def test_shifted_component_isomorphic(self):
         base = crystal.component(3, (), 5)
         moved = crystal.component(3, (3,), 8)

@@ -15,8 +15,9 @@ from spinfock.fock import FockVector, apply_f, apply_e
 
 class TestGhostsAndSigns:
     def test_ghost(self):
-        assert modular.is_ghost((3, 3, 1))
-        assert not modular.is_ghost((5, 4, 1))
+        # ghosts are the non-strict labels; the q = 1 image drops them
+        assert not pt.is_strict((3, 3, 1)) and pt.is_strict((5, 4, 1))
+        assert modular.character_image(3, FockVector.basis((3, 3, 1))) == {}
 
     def test_dp_sign(self):
         assert modular.dp_sign((4, 3, 2, 1)) == 1    # two even parts
@@ -165,16 +166,20 @@ class TestExternalReduction:
 class TestClassicalAction:
     def test_part_replacement_examples(self):
         v = {(3, 2): 1}
-        assert modular.f_infinity(0, v) == {(3, 2, 1): 1}
-        assert modular.f_infinity(3, v) == {(4, 2): 1}
-        assert modular.e_infinity(1, v) == {(3, 1): 1}
-        assert modular.e_infinity(2, v) == {}
+        # residue 1 at p = 3: j = 0 appends a 1, the 3 becomes a 4
+        assert modular.classical_f(3, 1, v) == {(3, 2, 1): 1, (4, 2): 1}
+        assert modular.classical_e(3, 0, v) == {(3, 1): 1}
+        # i = n: the positive j = 3 enters with multiplicity 2
+        assert modular.classical_e(3, 1, {(4, 2): 1}) == {(3, 2): 2}
 
     def test_strictness_preserved(self):
         v = {(3, 2): 1}
-        assert modular.f_infinity(2, v) == {}   # would repeat the part 3
+        # f_0 would turn the 1 into a second 2
+        assert modular.classical_f(3, 0, {(2, 1): 1}) == {}
+        # e_1 would turn the 3 into a second 2
+        assert modular.classical_e(3, 1, v) == {}
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_quotient_intertwines(self, p):
         n = pt.rank(p)
         for m in range(0, 10):
@@ -274,3 +279,94 @@ class TestFirstNegativeColumn:
     def test_negative_entries(self):
         assert modular.reduced_matrix(5, 20).negative_entries() == [
             ((11, 4, 3, 2), self.MU)]
+
+
+# G(7,7,6,5,2,1) at h = 7, m = 28: the first canonical column with a
+# negative q = 1 entry at p = 7, the -q^6 at row (15,6,5,2), frozen like
+# the p = 5 column above.
+G_776521_H7 = {
+    (15, 13): {7: 1, 9: 1},
+    (15, 7, 6): {5: 1},
+    (15, 6, 5, 2): {6: -1},
+    (14, 14): {6: 1},
+    (14, 13, 1): {5: 1},
+    (14, 12, 2): {5: 1},
+    (14, 9, 5): {5: 1},
+    (14, 8, 6): {3: 1, 5: 1, 7: 1},
+    (14, 7, 7): {4: 1},
+    (14, 7, 6, 1): {3: 1},
+    (14, 7, 5, 2): {5: 1},
+    (14, 6, 5, 2, 1): {4: 1},
+    (13, 12, 2, 1): {4: 1},
+    (13, 9, 5, 1): {4: 1},
+    (13, 8, 7): {3: 1, 5: 1},
+    (13, 8, 6, 1): {2: 1, 4: 1, 6: 1},
+    (13, 8, 5, 2): {4: 2, 6: 1},
+    (13, 7, 7, 1): {3: 1},
+    (13, 7, 5, 2, 1): {2: 2, 4: 1},
+    (12, 9, 7): {5: 1},
+    (12, 9, 6, 1): {4: 1},
+    (12, 8, 6, 2): {4: 2, 6: 2},
+    (12, 7, 7, 2): {3: 2},
+    (12, 7, 6, 2, 1): {2: 2},
+    (11, 8, 6, 3): {4: 1, 6: 2, 8: 1},
+    (11, 7, 7, 3): {3: 1, 5: 1},
+    (11, 7, 6, 3, 1): {2: 1, 4: 1},
+    (11, 7, 5, 3, 2): {2: 1, 4: 1},
+    (11, 6, 5, 3, 2, 1): {1: 1, 3: 1},
+    (10, 8, 6, 4): {4: 1, 6: 2, 8: 1},
+    (10, 7, 7, 4): {3: 1, 5: 1},
+    (10, 7, 6, 4, 1): {2: 1, 4: 1},
+    (10, 7, 5, 4, 2): {2: 1, 4: 1},
+    (10, 6, 5, 4, 2, 1): {1: 1, 3: 1},
+    (9, 8, 6, 5): {4: 1, 6: 1, 8: -1, 10: -1},
+    (9, 7, 7, 5): {3: 1, 7: -1},
+    (9, 7, 6, 5, 1): {2: 1, 6: -1},
+    (8, 7, 7, 6): {3: 1, 9: 1},
+    (8, 7, 6, 5, 2): {2: 1, 6: -1},
+    (7, 7, 7, 7): {2: 1},
+    (7, 7, 7, 6, 1): {1: 1},
+    (7, 7, 7, 5, 2): {1: 1},
+    (7, 7, 6, 5, 2, 1): {0: 1},
+}
+
+
+class TestFirstNegativeColumnP7:
+    MU = (7, 7, 6, 5, 2, 1)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_column_frozen(self, fast):
+        col = CanonicalBasis(7, fast=fast).column(self.MU)
+        assert len(G_776521_H7) == 43
+        assert {lam: c.coeffs() for lam, c in col.terms()} == G_776521_H7
+
+    def test_negative_entries(self):
+        assert modular.reduced_matrix(7, 28).negative_entries() == [
+            ((15, 6, 5, 2), self.MU)]
+
+
+class TestFirstNegativeColumnsP3:
+    """At p = 3 the negatives first appear at m = 27, in two columns; only
+    their negative rows are pinned (G(6,6,5,4,3,2,1) has 243 entries)."""
+
+    G6 = (6, 6, 5, 4, 3, 2, 1)
+    G3 = (3, 3, 3, 3, 3, 3, 3, 3, 2, 1)
+    ROW_A = (8, 6, 5, 4, 3, 1)
+    ROW_B = (8, 7, 5, 4, 2, 1)
+
+    def test_negative_entries(self):
+        solver = CanonicalBasis(3)
+        R = modular.reduced_matrix(3, 27, solver)
+        assert R.negative_entries() == [
+            (self.ROW_A, self.G6), (self.ROW_B, self.G3), (self.ROW_A, self.G3)]
+        assert [R.entry(lam, mu) for lam, mu in R.negative_entries()] == [
+            -2, -1, -4]
+        M = solver.matrix(27)
+        assert M.column(self.G6).coefficient(self.ROW_A).coeffs() == {
+            2: 1, 4: 2, 6: -1, 8: -3}
+        assert M.column(self.G3).coefficient(self.ROW_A).coeffs() == {
+            1: -1, 3: 2, 5: 4, 7: -5, 9: -5, 11: 5, 13: -1, 15: -3, 17: 3,
+            19: -1, 23: 1, 25: -1}
+        assert M.column(self.G3).coefficient(self.ROW_B).coeffs() == {
+            2: 4, 4: 7, 6: 1, 8: -11, 10: -7, 12: 4, 16: -2, 18: 3, 20: 1,
+            24: 1, 26: -1, 28: -1}
