@@ -31,8 +31,7 @@ print("\nreduced decomposition matrix, p=3, degree 10:")
 R = modular.reduced_matrix(P, 10)
 print(R.render_table())
 
-ext = modular.parse_external_csv(fx.DECOMP_S10_P3_CSV)
-reduced_ext = modular.reduce_external_matrix(ext, P)
+reduced_ext = modular.reduce_external_matrix(fx.DECOMP_S10_P3_CSV, P)
 print("matches the reduced external matrix:", reduced_ext == R)
 
 R11 = modular.reduced_matrix(P, 11)

@@ -61,10 +61,7 @@ from .modular import (
     character_image,
     strip_two_power,
     reduced_matrix,
-    parse_external_csv,
     reduce_external_matrix,
-    count_consistency_report,
-    independence_report,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +81,6 @@ __all__ = [
     "BasisMatrix", "CanonicalBasis", "CanonicalBasisError", "a_vector",
     "canonical_basis", "check_basis_matrix",
     "ReducedMatrix", "character_image", "strip_two_power", "reduced_matrix",
-    "parse_external_csv", "reduce_external_matrix",
-    "count_consistency_report", "independence_report",
+    "reduce_external_matrix",
     "__version__",
 ]

@@ -123,23 +123,23 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
-def _sorted_vertices(vs):
-    out = sorted(vs, reverse=True)
-    out.sort(key=sum)
-    return out
-
-
 def component(h: int, start, max_degree: int) -> CrystalGraph:
-    """All vertices reachable from `start` by lowering, up to max_degree."""
+    """All vertices reachable from `start` by lowering, up to max_degree.
+
+    Every lowering step raises the degree by one, so each breadth-first
+    layer is one degree: emitting the layers in decreasing lex order lists
+    vertices and edges by degree, then source (decreasing lex), then color.
+    """
     start = pt.check_dp_h(h, start)
     if sum(start) > max_degree:
         raise ValueError(f"start {start} has degree {sum(start)}, above "
                          f"max degree {max_degree}")
     n = pt.rank(h)
-    seen = {start}
+    vertices = []
     edges = []
     layer = [start]
     while layer:
+        vertices += layer
         nxt = set()
         for v in layer:
             if sum(v) >= max_degree:
@@ -148,15 +148,9 @@ def component(h: int, start, max_degree: int) -> CrystalGraph:
                 w = ftilde(h, i, v)
                 if w is not None:
                     edges.append((v, i, w))
-                    if w not in seen:
-                        nxt.add(w)
-        seen |= nxt
-        layer = _sorted_vertices(nxt)
-    vertices = tuple(_sorted_vertices(seen))
-    edges.sort(key=lambda e: e[1])                  # color
-    edges.sort(key=lambda e: e[0], reverse=True)    # source, decreasing lex
-    edges.sort(key=lambda e: sum(e[0]))             # degree layers
-    return CrystalGraph(h, max_degree, vertices, tuple(edges))
+                    nxt.add(w)
+        layer = sorted(nxt, reverse=True)
+    return CrystalGraph(h, max_degree, tuple(vertices), tuple(edges))
 
 
 def highest_weight_vertices(h: int, max_m: int) -> list:
@@ -165,8 +159,5 @@ def highest_weight_vertices(h: int, max_m: int) -> list:
     Listed by increasing degree, decreasing lex inside a degree.
     """
     pt.check_h(h)
-    out = []
-    for k in range(max_m // h + 1):
-        scaled = [tuple(h * x for x in mu) for mu in pt.partitions(k)]
-        out.extend(_sorted_vertices(scaled))
-    return out
+    return [tuple(h * x for x in mu)
+            for k in range(max_m // h + 1) for mu in pt.partitions(k)]

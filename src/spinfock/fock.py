@@ -98,6 +98,8 @@ class FockVector:
         return isinstance(other, FockVector) and self._terms == other._terms
 
     def __add__(self, other):
+        if not isinstance(other, FockVector):
+            return NotImplemented
         t = dict(self._terms)
         for lam, poly in other._terms.items():
             _accumulate(t, lam, poly)
@@ -106,6 +108,8 @@ class FockVector:
         return out
 
     def __sub__(self, other):
+        if not isinstance(other, FockVector):
+            return NotImplemented
         return self + other.scaled(-ONE)
 
     def __neg__(self):

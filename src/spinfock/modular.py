@@ -5,7 +5,11 @@ q = 1 and are dropped by the quotient map; a surviving strict label lam
 contributes on the self-associate character basis with the power-of-two
 scale 2^(b(lam) - a_p(lam)).  Character vectors are plain dicts {strict
 partition: coefficient}.  The classical part-replacement action is the
-cross-check of this quotient (the intertwiner check of `verify`).
+cross-check of this quotient (the intertwiner check of `verify`).  An
+external decomposition matrix is read from CSV and reduced to the same
+columns in one call, reduce_external_matrix.  The functions here return
+results; `verify` turns them into checks (label counts against
+odd_series_coefficients, the rank of the character images).
 """
 
 from __future__ import annotations
@@ -17,9 +21,8 @@ from fractions import Fraction
 
 from .fock import FockVector
 from .laurent import _accumulate
-from .canonical import CanonicalBasis, a_vector, render_csv, render_table
+from .canonical import CanonicalBasis, render_csv, render_table
 from . import partitions as pt
-from . import crystal
 
 
 def dp_sign(lam) -> int:
@@ -119,80 +122,70 @@ def reduced_matrix(p: int, m: int, solver: CanonicalBasis = None) -> ReducedMatr
 
 # -- external decomposition-matrix fixtures ---------------------------------
 
-@dataclass(frozen=True)
-class ExternalMatrix:
-    """Raw decomposition matrix with possibly paired rows and columns.
-
-    Labels are (partition, primed) pairs; primed marks the associate twin.
-    """
-
-    row_labels: tuple
-    col_labels: tuple
-    entries: tuple          # tuple of row tuples of ints
-
-
-def parse_external_csv(text: str) -> ExternalMatrix:
-    """Read the CSV fixture format: primes marked by a trailing apostrophe."""
-
-    def parse_label(s):
-        s = s.strip()
+def _twins(cells, kind: str) -> dict:
+    """{partition: {primed: position}} of labels where a trailing apostrophe
+    marks the associate twin; a repeated label or a prime without its
+    unprimed twin is inconsistent data."""
+    out = {}
+    for k, cell in enumerate(cells):
+        s = cell.strip()
         primed = s.endswith("'")
-        return pt.parse_partition(s.rstrip("'")), primed
-
-    rows = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
-    col_labels = tuple(parse_label(c) for c in rows[0][1:])
-    row_labels = []
-    entries = []
-    for r in rows[1:]:
-        row_labels.append(parse_label(r[0]))
-        entries.append(tuple(int(x) for x in r[1:]))
-    return ExternalMatrix(tuple(row_labels), col_labels, tuple(entries))
+        versions = out.setdefault(pt.parse_partition(s.rstrip("'")), {})
+        if primed in versions:
+            raise ValueError(f"{kind} label {s!r} is repeated")
+        versions[primed] = k
+    for lam, versions in out.items():
+        if False not in versions:
+            raise ValueError(f"{kind} {lam}: primed label without its unprimed twin")
+    return out
 
 
-def reduce_external_matrix(ext: ExternalMatrix, p: int) -> ReducedMatrix:
-    """Sum associate column pairs and merge associate row pairs.
+def reduce_external_matrix(text: str, p: int) -> ReducedMatrix:
+    """Read a decomposition matrix in the CSV fixture format and reduce it.
 
-    A merged row pair must carry equal entries in every summed column; a
-    mismatch, a pairing that contradicts the parity class of the row label,
-    or a dangling prime is reported as inconsistent data.
+    The first line holds the column labels after an empty corner cell, each
+    further line a row label and one integer entry per column; a trailing
+    apostrophe marks the associate twin of a label.  Associate column pairs
+    are summed and associate row pairs merged.  A merged row pair must
+    carry equal entries in every summed column; a mismatch, a pairing that
+    contradicts the parity class of the row label, a dangling prime, a
+    repeated label, a row whose length differs from the header's, or text
+    with no header is reported as inconsistent data (ValueError).
     """
     pt.check_h(p)
-    degrees = {sum(lam) for lam, _ in ext.row_labels}
+    lines = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
+    if not lines:
+        raise ValueError("external matrix has no header line")
+    header, body = lines[0], lines[1:]
+    for r in body:
+        if len(r) != len(header):
+            raise ValueError(f"row {r[0].strip()!r}: {len(r) - 1} entries "
+                             f"under {len(header) - 1} column labels")
+    col_index = _twins(header[1:], "column")
+    row_index = _twins([r[0] for r in body], "row")
+    entries = [[int(x) for x in r[1:]] for r in body]
+    degrees = {sum(lam) for lam in row_index}
     if len(degrees) != 1:
         raise ValueError("fixture rows must share one degree")
     m = degrees.pop()
-
-    col_index = {}
-    for j, (mu, _) in enumerate(ext.col_labels):
-        col_index.setdefault(mu, []).append(j)
-    col_bases = sorted(col_index, reverse=True)
-
-    row_index = {}
-    for i, (lam, primed) in enumerate(ext.row_labels):
-        row_index.setdefault(lam, {})[primed] = i
     for lam, versions in row_index.items():
         if not pt.is_strict(lam):
             raise ValueError(f"row label {lam} is not strict")
-        paired = len(versions) == 2
-        if paired != (dp_sign(lam) < 0):
+        if (len(versions) == 2) != (dp_sign(lam) < 0):
             raise ValueError(f"row {lam}: pairing contradicts its parity class")
 
+    col_bases = sorted(col_index, reverse=True)
     columns = {}
     for mu in col_bases:
         col = {}
         for lam, versions in row_index.items():
-            summed = {primed: sum(ext.entries[i][j] for j in col_index[mu])
-                      for primed, i in versions.items()}
-            if len(summed) == 2:
-                plain, primed = summed[False], summed[True]
-                if plain != primed:
-                    raise ValueError(
-                        f"row pair {lam}: unequal merged entries {plain} != {primed}")
-                value = plain
-            else:
-                value = next(iter(summed.values()))
-            if value:
-                col[lam] = value
+            plain, *twin = [sum(entries[i][j] for j in col_index[mu].values())
+                            for _, i in sorted(versions.items())]
+            if twin and twin[0] != plain:
+                raise ValueError(
+                    f"row pair {lam}: unequal merged entries {plain} != {twin[0]}")
+            if plain:
+                col[lam] = plain
         columns[mu] = col
     return ReducedMatrix(p, m, tuple(col_bases), columns)
 
@@ -240,7 +233,7 @@ def classical_image(p: int, vec: FockVector) -> dict:
             for lam, value in character_image(p, vec).items()}
 
 
-# -- counting and rank reports ------------------------------------------------
+# -- label counts -------------------------------------------------------------
 
 def odd_series_coefficients(p: int, max_m: int) -> list:
     """Coefficients of prod over odd i not divisible by p of 1/(1 - t^i)."""
@@ -253,71 +246,3 @@ def odd_series_coefficients(p: int, max_m: int) -> list:
         for m in range(i, max_m + 1):
             coeffs[m] += coeffs[m - i]
     return coeffs
-
-
-@dataclass(frozen=True)
-class CountReport:
-    p: int
-    max_m: int
-    regular_counts: tuple
-    series_coefficients: tuple
-    crystal_counts: tuple
-    ok: bool
-
-
-def count_consistency_report(p: int, max_m: int) -> CountReport:
-    """Compare |DPR_p(m)|, the odd-part series, and crystal layer sizes."""
-    reg = tuple(len(pt.enumerate_dpr_h(p, m)) for m in range(max_m + 1))
-    ser = tuple(odd_series_coefficients(p, max_m))
-    graph = crystal.component(p, (), max_m)
-    counts = graph.degree_counts()
-    cry = tuple(counts.get(m, 0) for m in range(max_m + 1))
-    return CountReport(p, max_m, reg, ser, cry, reg == ser == cry)
-
-
-def _rational_rank(rows: list) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank_ = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank_, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank_], mat[pivot] = mat[pivot], mat[rank_]
-        inv = 1 / mat[rank_][col]
-        mat[rank_] = [x * inv for x in mat[rank_]]
-        for r in range(len(mat)):
-            if r != rank_ and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank_])]
-        rank_ += 1
-    return rank_
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    p: int
-    m: int
-    rank: int
-    expected: int
-    ok: bool
-
-
-def independence_report(p: int, m: int) -> IndependenceReport:
-    """Rank of the intermediate vectors pushed to the character space.
-
-    The columns character_image(A(mu)) over mu in DPR_p(m) must be linearly
-    independent over the rationals.
-    """
-    labels = pt.enumerate_dpr_h(p, m)
-    rows = pt.enumerate_dp(m)
-    idx = {lam: i for i, lam in enumerate(rows)}
-    cols = []
-    for mu in labels:
-        cv = character_image(p, a_vector(p, mu))
-        col = [0] * len(rows)
-        for lam, v in cv.items():
-            col[idx[lam]] = v
-        cols.append(col)
-    rank_ = _rational_rank(cols)
-    return IndependenceReport(p, m, rank_, len(labels), rank_ == len(labels))

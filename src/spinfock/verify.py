@@ -1,6 +1,8 @@
 """Embedded fixture checks and property suites behind the verify command.
 
-Each check returns a CheckResult; suites aggregate them into a Report that
+Each check computes what it compares from the engine's plain results (the
+label counts and the character rank from partitions, crystal and modular)
+and returns a CheckResult; suites aggregate them into a Report that
 serializes to JSON for machine consumption.  The property helpers take
 scale parameters so the command line can run them at reduced depth while
 the acceptance tests run them at full depth.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .laurent import LaurentPoly, generator_scale
 from .fock import FockVector, apply_f, apply_e, apply_t, straighten
@@ -120,8 +123,7 @@ def check_reduction_pipeline() -> list:
     computed = modular.reduced_matrix(3, 10)
     embedded = fx.reduced_matrix_3_10()
     out.append(_compare("reduced matrix p=3 m=10", computed, embedded))
-    ext = modular.parse_external_csv(fx.DECOMP_S10_P3_CSV)
-    reduced = modular.reduce_external_matrix(ext, 3)
+    reduced = modular.reduce_external_matrix(fx.DECOMP_S10_P3_CSV, 3)
     out.append(_compare("external matrix reduction p=3 m=10", reduced, embedded))
     out.append(CheckResult("no negative entries p=3 m=10",
                            not computed.negative_entries()))
@@ -314,21 +316,52 @@ def divided_power_integrality(h: int, max_m: int) -> CheckResult:
     return CheckResult(f"divided-power integrality h={h} m<={max_m}", True)
 
 
+def _rational_rank(rows: list) -> int:
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank_ = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank_, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank_], mat[pivot] = mat[pivot], mat[rank_]
+        inv = 1 / mat[rank_][col]
+        mat[rank_] = [x * inv for x in mat[rank_]]
+        for r in range(len(mat)):
+            if r != rank_ and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank_])]
+        rank_ += 1
+    return rank_
+
+
 def rank_checks(p: int, max_m: int) -> CheckResult:
+    """The intermediate vectors stay independent at q = 1: the columns
+    character_image(A(mu)), mu in DPR_p(m), have full rational rank."""
     for m in range(max_m + 1):
-        rep = modular.independence_report(p, m)
-        if not rep.ok:
+        labels = pt.enumerate_dpr_h(p, m)
+        rows = pt.enumerate_dp(m)
+        cols = []
+        for mu in labels:
+            cv = modular.character_image(p, a_vector(p, mu))
+            cols.append([cv.get(lam, 0) for lam in rows])
+        rank_ = _rational_rank(cols)
+        if rank_ != len(labels):
             return CheckResult(f"character rank p={p}", False,
-                               f"m={m}: rank {rep.rank} != {rep.expected}")
+                               f"m={m}: rank {rank_} != {len(labels)}")
     return CheckResult(f"character rank p={p} m<={max_m}", True)
 
 
 def count_checks(p: int, max_m: int) -> CheckResult:
-    rep = modular.count_consistency_report(p, max_m)
-    detail = "" if rep.ok else (
-        f"dpr={rep.regular_counts} series={rep.series_coefficients} "
-        f"crystal={rep.crystal_counts}")
-    return CheckResult(f"label counts p={p} m<={max_m}", rep.ok, detail)
+    """|DPR_p(m)|, the odd-part series and the layer sizes of the vacuum
+    crystal agree for every m <= max_m."""
+    reg = tuple(len(pt.enumerate_dpr_h(p, m)) for m in range(max_m + 1))
+    ser = tuple(modular.odd_series_coefficients(p, max_m))
+    counts = crystal.component(p, (), max_m).degree_counts()
+    cry = tuple(counts.get(m, 0) for m in range(max_m + 1))
+    ok = reg == ser == cry
+    detail = "" if ok else f"dpr={reg} series={ser} crystal={cry}"
+    return CheckResult(f"label counts p={p} m<={max_m}", ok, detail)
 
 
 def run_property_suite(max_degree: int = 9, seed: int = 0) -> Report:

@@ -87,8 +87,8 @@ def test_criterion_4_degree21_vectors():
 def test_criterion_5_reduction_pipeline():
     with Timer() as t:
         computed = modular.reduced_matrix(3, 10)
-        ext = modular.parse_external_csv(fx.DECOMP_S10_P3_CSV)
-        reduced_external = modular.reduce_external_matrix(ext, 3)
+        reduced_external = modular.reduce_external_matrix(
+            fx.DECOMP_S10_P3_CSV, 3)
     embedded = fx.reduced_matrix_3_10()
     assert computed == embedded
     assert reduced_external == embedded
@@ -98,12 +98,10 @@ def test_criterion_5_reduction_pipeline():
 
 def test_criterion_6_partition_identity():
     with Timer() as t:
-        reports = {p: modular.count_consistency_report(p, 40)
-                   for p in (3, 5, 7)}
-    for p, rep in reports.items():
-        assert rep.ok, (p, rep)
-        assert rep.regular_counts == rep.series_coefficients
-        assert rep.regular_counts == rep.crystal_counts
+        results = {p: vf.count_checks(p, 40) for p in (3, 5, 7)}
+    for p, res in results.items():
+        assert res == vf.CheckResult(f"label counts p={p} m<=40", True), (
+            p, res.detail)
     assert t.elapsed < 30.0
     _report(6, "label counts vs series vs crystal, p in {3,5,7}, m<=40",
             t.elapsed, 30)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -460,6 +461,18 @@ class TestVectorApi:
         assert s.coefficient((1,)) == LaurentPoly({1: 2})
         assert (s - s) == FockVector()
         assert not (a - a)
+
+    @pytest.mark.parametrize("op, message", [
+        (lambda v: v + 1, "+: 'FockVector' and 'int'"),
+        (lambda v: v - 1, "-: 'FockVector' and 'int'"),
+        (lambda v: 1 + v, "+: 'int' and 'FockVector'"),
+        (lambda v: 1 - v, "-: 'int' and 'FockVector'"),
+        (lambda v: v + ONE, "+: 'FockVector' and 'LaurentPoly'"),
+        (lambda v: v - ONE, "-: 'FockVector' and 'LaurentPoly'")])
+    def test_unsupported_operand_names_both_types(self, op, message):
+        with pytest.raises(TypeError, match=re.escape(
+                "unsupported operand type(s) for " + message)):
+            op(FockVector.basis((1,)))
 
     def test_at_one(self):
         v = vec({(6, 5, 2): {0: 1, 4: -1}, (5, 5, 2, 1): {0: 1}})

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +50,17 @@ class TestRing:
         assert a + 0 == a
         assert 2 * a == a + a
         assert 1 - a == ONE - a
+
+    @pytest.mark.parametrize("op, message", [
+        (lambda a: 2.5 - a, "-: 'float' and 'LaurentPoly'"),
+        (lambda a: a - 2.5, "-: 'LaurentPoly' and 'float'"),
+        (lambda a: 2.5 + a, "+: 'float' and 'LaurentPoly'"),
+        (lambda a: a * 2.5, "*: 'LaurentPoly' and 'float'"),
+        (lambda a: "q" - a, "-: 'str' and 'LaurentPoly'")])
+    def test_unsupported_operand_names_both_types(self, op, message):
+        with pytest.raises(TypeError, match=re.escape(
+                "unsupported operand type(s) for " + message)):
+            op(poly({0: 1}))
 
     def test_no_zero_coefficients_stored(self):
         assert poly({3: 0, 1: 2})._c == {1: 2}

@@ -9,6 +9,7 @@ import pytest
 from spinfock import partitions as pt
 from spinfock import fixtures as fx
 from spinfock import modular
+from spinfock import verify
 from spinfock.canonical import CanonicalBasis, canonical_basis
 from spinfock.fock import FockVector, apply_f, apply_e
 
@@ -125,42 +126,57 @@ class TestReducedMatrix:
 
 class TestExternalReduction:
     def test_fixture_reduces_to_embedded(self):
-        ext = modular.parse_external_csv(fx.DECOMP_S10_P3_CSV)
-        assert modular.reduce_external_matrix(ext, 3) == fx.reduced_matrix_3_10()
+        assert (modular.reduce_external_matrix(fx.DECOMP_S10_P3_CSV, 3)
+                == fx.reduced_matrix_3_10())
 
     def test_fixture_shape(self):
-        ext = modular.parse_external_csv(fx.DECOMP_S10_P3_CSV)
-        assert len(ext.row_labels) == 15
-        assert len(ext.col_labels) == 7
+        # 15 raw rows and 7 raw columns merge to the 10 strict partitions
+        # of 10 and the 4 labels of DPR_3(10)
+        R = modular.reduce_external_matrix(fx.DECOMP_S10_P3_CSV, 3)
+        assert (R.p, R.m) == (3, 10)
+        assert R.labels == fx.DPR3_10
+        rows = {lam for col in R.columns.values() for lam in col}
+        assert rows == set(pt.enumerate_dp(10))
 
     def test_self_paired_column(self):
-        ext = modular.parse_external_csv(fx.DECOMP_S10_P3_CSV)
-        reduced = modular.reduce_external_matrix(ext, 3)
+        reduced = modular.reduce_external_matrix(fx.DECOMP_S10_P3_CSV, 3)
         assert reduced.entry((5, 3, 2), (5, 3, 2)) == 1
 
     def test_trivial_fixture(self):
-        ext = modular.parse_external_csv(",21\n3,1\n")
-        reduced = modular.reduce_external_matrix(ext, 3)
+        reduced = modular.reduce_external_matrix(",21\n3,1\n", 3)
         assert reduced.labels == ((2, 1),)
         assert reduced.columns[(2, 1)] == {(3,): 1}
 
     def test_mismatched_pair_rejected(self):
         bad = ",532\n532,1\n532',2\n82,1\n"
-        ext = modular.parse_external_csv(bad)
         with pytest.raises(ValueError):
-            modular.reduce_external_matrix(ext, 3)
+            modular.reduce_external_matrix(bad, 3)
 
     def test_wrong_parity_pairing_rejected(self):
         # (7,3) has no even part, so a primed twin is inconsistent
         bad = ",3331\n73,1\n73',1\n"
-        ext = modular.parse_external_csv(bad)
         with pytest.raises(ValueError):
-            modular.reduce_external_matrix(ext, 3)
+            modular.reduce_external_matrix(bad, 3)
 
     def test_mixed_degrees_rejected(self):
-        ext = modular.parse_external_csv(",21\n21,1\n31,1\n")
         with pytest.raises(ValueError):
-            modular.reduce_external_matrix(ext, 3)
+            modular.reduce_external_matrix(",21\n21,1\n31,1\n", 3)
+
+    @pytest.mark.parametrize("text, message", [
+        (",21\n3',1\n", r"row \(3,\): primed label without its unprimed twin"),
+        (",21'\n3,1\n",
+         r"column \(2, 1\): primed label without its unprimed twin"),
+        (",21\n3,1\n3,1\n", r"row label '3' is repeated"),
+        (",21,21\n3,1,1\n", r"column label '21' is repeated"),
+        (",21\n3,1,5\n", r"row '3': 2 entries under 1 column labels"),
+        (",21,3\n3,1\n", r"row '3': 1 entries under 2 column labels"),
+        ("", "no header line"),
+        (" \n,\n", "no header line"),
+    ], ids=["lone-primed-row", "lone-primed-column", "repeated-row",
+            "repeated-column", "long-row", "short-row", "empty", "blank"])
+    def test_malformed_csv_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            modular.reduce_external_matrix(text, 3)
 
 
 class TestClassicalAction:
@@ -181,8 +197,10 @@ class TestClassicalAction:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_quotient_intertwines(self, p):
+        # m <= 13 lets f reach (7,7), the first label with a repeated part
+        # at p = 7, so every p meets a ghost
         n = pt.rank(p)
-        for m in range(0, 10):
+        for m in range(0, 14):
             for lam in pt.enumerate_dp_h(p, m):
                 v = FockVector.basis(lam)
                 cls = modular.classical_image(p, v)
@@ -202,10 +220,17 @@ class TestClassicalAction:
 
 class TestCountsAndRanks:
     def test_identity_small(self):
-        rep = modular.count_consistency_report(3, 10)
-        assert rep.ok
-        assert rep.regular_counts[10] == 4
-        assert rep.regular_counts[0] == 1
+        assert verify.count_checks(3, 10) == verify.CheckResult(
+            "label counts p=3 m<=10", True)
+        assert len(pt.enumerate_dpr_h(3, 10)) == 4
+        assert len(pt.enumerate_dpr_h(3, 0)) == 1
+
+    def test_count_failure_names_all_three(self, monkeypatch):
+        monkeypatch.setattr(modular, "odd_series_coefficients",
+                            lambda p, max_m: [0] * (max_m + 1))
+        assert verify.count_checks(3, 3) == verify.CheckResult(
+            "label counts p=3 m<=3", False,
+            "dpr=(1, 1, 1, 1) series=(0, 0, 0, 0) crystal=(1, 1, 1, 1)")
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_series_against_direct_count(self, p):
@@ -215,16 +240,29 @@ class TestCountsAndRanks:
             assert coeffs[m] == oracle_count_odd_parts(p, m)
 
     def test_rank_small(self):
-        rep = modular.independence_report(3, 1)
-        assert rep.ok and rep.rank == 1
+        assert verify.rank_checks(3, 1) == verify.CheckResult(
+            "character rank p=3 m<=1", True)
 
     def test_rank_10(self):
-        rep = modular.independence_report(3, 10)
-        assert rep.ok and rep.rank == 4
+        assert verify.rank_checks(3, 10) == verify.CheckResult(
+            "character rank p=3 m<=10", True)
+        assert len(pt.enumerate_dpr_h(3, 10)) == 4
+
+    def test_rank_failure_names_degree(self, monkeypatch):
+        monkeypatch.setattr(modular, "character_image", lambda p, vec: {})
+        assert verify.rank_checks(3, 4) == verify.CheckResult(
+            "character rank p=3", False, "m=0: rank 0 != 1")
+
+    def test_rational_rank_examples(self):
+        assert verify._rational_rank([]) == 0
+        assert verify._rational_rank([[0, 0], [0, 0]]) == 0
+        assert verify._rational_rank([[2, 4, 1], [1, 2, 3]]) == 2
+        assert verify._rational_rank([[2, 4], [1, 2], [3, 6]]) == 1
+        assert verify._rational_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
 
     @pytest.mark.parametrize("m", range(0, 13))
     def test_rank_sweep(self, m):
-        assert modular.independence_report(3, m).ok
+        assert verify.rank_checks(3, m).ok
 
 
 # G(5,5,4,3,2,1) at h = 5, m = 20 as {row: {exponent: coefficient}}: the
