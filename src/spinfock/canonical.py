@@ -28,10 +28,9 @@ the column is validated.  A column is a FockVector that decodes on read,
 so BasisMatrix serves LaurentPoly entries, and its JSON writer reads the
 digits directly, with no LaurentPoly and no to_json tree.  A carried bound
 that reaches 2^(b-1) raises CoefficientBoundError (never a guess); the
-solver then re-solves that degree, and keeps solving later ones, at
-b = 2B.  Only a bound that reaches 2^(2B-1) stops it, with an error naming
-h, m, the column and the row.  Residue contents are cached per label for
-the solver's lifetime.
+solver then doubles b, keeps only the vacuum and solves again from degree
+1, as fock._act repeats an action, so all columns of a solver share one
+width.  Residue contents are cached per label for the solver's lifetime.
 
 One generator, column_failures, states the five column conditions: the
 solver raises on the first failure of each new column, check_basis_matrix
@@ -203,9 +202,13 @@ class CanonicalBasis:
         self.h = h
         self.fast = fast
         self._contents = {}             # label -> residue content
-        self._bits = laurent.DIGIT_BITS  # digit width, doubled at most once
-        vacuum = PackedVector({(): UNIT}, self._bits)
-        self._matrices = {0: BasisMatrix(h, 0, ((),), {(): vacuum})}
+        self._start(laurent.DIGIT_BITS)
+
+    def _start(self, bits):
+        """Forget every column but the vacuum, packed at digit width bits."""
+        self._bits = bits
+        vacuum = PackedVector({(): UNIT}, bits)
+        self._matrices = {0: BasisMatrix(self.h, 0, ((),), {(): vacuum})}
 
     def column(self, mu) -> FockVector:
         mu = pt.check_dp_h(self.h, mu)
@@ -216,10 +219,12 @@ class CanonicalBasis:
     def matrix(self, m: int) -> BasisMatrix:
         if m < 0:
             raise ValueError("degree must be nonnegative")
-        if m not in self._matrices:
-            for d in range(1, m + 1):
-                if d not in self._matrices:
+        while m not in self._matrices:
+            try:
+                for d in range(len(self._matrices), m + 1):
                     self._matrices[d] = self._solve_degree(d)
+            except CoefficientBoundError:   # as fock._act: all again at 2b
+                self._start(2 * self._bits)
         return self._matrices[m]
 
     def _residue_content(self, lam) -> tuple:
@@ -244,7 +249,7 @@ class CanonicalBasis:
             return acc
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
         n = pt.rank(self.h)
-        for lam, c in self.column(nu).packed_at(b).items():
+        for lam, c in self.column(nu).packed.items():
             key = (res, cnt, lam)
             image = memo.get(key)
             if image is None:
@@ -254,38 +259,26 @@ class CanonicalBasis:
         return acc
 
     def _solve_degree(self, m: int) -> BasisMatrix:
-        """Degree m at the solver's width; once, at twice that width, if a
-        carried bound reaches the digits' reach."""
-        try:
-            return self._reduce(m)
-        except CoefficientBoundError:
-            if self._bits != laurent.DIGIT_BITS:
-                raise
-        self._bits *= 2
-        return self._reduce(m)
-
-    def _reduce(self, m: int) -> BasisMatrix:
+        """Degree m at the solver's digit width; a carried bound that
+        reaches the digits' reach raises CoefficientBoundError (matrix
+        then widens)."""
         labels = tuple(pt.enumerate_dpr_h(self.h, m))
         b = self._bits
         memo = {}                               # dropped with this degree
         blocks = {}                             # content -> labels done
         done = {}
-        try:
-            for mu in labels:                   # decreasing lex
-                content = self._residue_content(mu)
-                block = blocks.setdefault(content, [])
-                acc = self._intermediate(mu, memo)
-                for s in reversed(block):       # lex-greater, increasing lex
-                    gamma = symmetrize_tail(acc.coefficient(s))
-                    if gamma:
-                        acc.add_scaled(pack(-gamma, b), done[s].packed.items())
-                vec = PackedVector(acc.freeze(), b)
-                self._validate_column(mu, vec, m)
-                block.append(mu)
-                done[mu] = vec
-        except CoefficientBoundError as exc:
-            raise CoefficientBoundError(exc.bound, exc.row, b, f"h={self.h} "
-                                        f"m={m} column {mu}: ") from None
+        for mu in labels:                       # decreasing lex
+            content = self._residue_content(mu)
+            block = blocks.setdefault(content, [])
+            acc = self._intermediate(mu, memo)
+            for s in reversed(block):           # lex-greater, increasing lex
+                gamma = symmetrize_tail(acc.coefficient(s))
+                if gamma:
+                    acc.add_scaled(pack(-gamma, b), done[s].packed.items())
+            vec = PackedVector(acc.freeze(), b)
+            self._validate_column(mu, vec, m)
+            block.append(mu)
+            done[mu] = vec
         return BasisMatrix(self.h, m, labels, done)
 
     def _validate_column(self, mu, vec, m):

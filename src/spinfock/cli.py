@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (a broken engine invariant: a canonical column failing its checks, an
-inexact divided power, a packed coefficient past even the solver's widened
-digits, an unstraightenable wedge word or an inconsistent ladder or crystal
+inexact divided power, a packed coefficient the JSON writer cannot decode,
+an unstraightenable wedge word or an inconsistent ladder or crystal
 string), 141 when the reader closes stdout early.  Output is deterministic.
 canonical and decomp emit their matrix through one path, _emit_matrix, as
 an aligned table, CSV or JSON; canonical hands it only the solved matrix,

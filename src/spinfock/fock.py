@@ -142,7 +142,7 @@ class PackedVector(FockVector):
     `bits`: the solver's columns.
 
     Every read decodes on demand (laurent.unpack), so only the coefficients
-    that are printed or compared are ever unpacked; `packed_at` feeds the
+    that are printed or compared are ever unpacked; `packed` feeds the
     solver's multiply-adds directly, and `least_exponents` reads e0, which
     is the least exponent because the entries are normalized.
     """
@@ -156,13 +156,6 @@ class PackedVector(FockVector):
     def _terms(self):
         b = self.bits
         return {lam: unpack(c, b, lam) for lam, c in self.packed.items()}
-
-    def packed_at(self, b) -> dict:
-        """The entries packed at width b: as stored, or re-packed."""
-        if b == self.bits:
-            return self.packed
-        return {lam: pack(unpack(c, self.bits, lam), b)
-                for lam, c in self.packed.items()}
 
     def coefficient(self, lam) -> LaurentPoly:
         c = self.packed.get(tuple(lam))

@@ -15,10 +15,12 @@ exact only while every |a_k| < 2^(b-1): `packed_terms` (the decoder),
 `PolyAccumulator.freeze` and `exact_quotient` refuse with
 CoefficientBoundError once n reaches that bound, and never guess.  Every
 packing starts at b = DIGIT_BITS; a caller that meets the refusal repeats
-its work at a wider b (fock._act, canonical.CanonicalBasis._solve_degree).
+its work at twice the width (fock._act, canonical.CanonicalBasis.matrix).
 """
 
 from __future__ import annotations
+
+from operator import index
 
 DIGIT_BITS = 32         # B, the first width of a packed digit
 
@@ -31,24 +33,24 @@ class CoefficientBoundError(ArithmeticError):
     """A packed coefficient's carried bound reached 2^(b-1) at digit width b.
 
     Its balanced digits might then no longer be its coefficients, so the
-    packed value cannot be read back.  The message names the row label; the
-    canonical solver adds h, m and the column.
+    packed value cannot be read back.  The message names the row label.
     """
 
-    def __init__(self, bound, row, b, where=""):
-        self.bound, self.row, self.bits = bound, row, b
-        super().__init__(f"{where}row {row}: carried coefficient bound "
-                         f"{bound} >= 2^{b - 1}")
+    def __init__(self, bound, row, b):
+        super().__init__(f"row {row}: carried coefficient bound {bound} "
+                         f">= 2^{b - 1}")
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in q: a map {exponent: nonzero int}."""
+    """Sparse Laurent polynomial in q: a map {exponent: nonzero int}.
+
+    A non-integral exponent or coefficient raises TypeError."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
         if coeffs:
-            self._c = {int(e): int(a) for e, a in coeffs.items() if a}
+            self._c = {index(e): index(a) for e, a in coeffs.items() if a}
         else:
             self._c = {}
 

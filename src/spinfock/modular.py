@@ -148,9 +148,10 @@ def reduce_external_matrix(text: str, p: int) -> ReducedMatrix:
     apostrophe marks the associate twin of a label.  Associate column pairs
     are summed and associate row pairs merged.  A merged row pair must
     carry equal entries in every summed column; a mismatch, a pairing that
-    contradicts the parity class of the row label, a dangling prime, a
-    repeated label, a row whose length differs from the header's, or text
-    with no header is reported as inconsistent data (ValueError).
+    contradicts the parity class of the row label, a column label outside
+    DPR_p(m), a dangling prime, a repeated label, a row whose length
+    differs from the header's, or text with no header is reported as
+    inconsistent data (ValueError).
     """
     pt.check_h(p)
     lines = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
@@ -177,6 +178,8 @@ def reduce_external_matrix(text: str, p: int) -> ReducedMatrix:
     col_bases = sorted(col_index, reverse=True)
     columns = {}
     for mu in col_bases:
+        if sum(mu) != m or not pt.in_dpr_h(p, mu):
+            raise ValueError(f"column {mu} is not in DPR_{p}({m})")
         col = {}
         for lam, versions in row_index.items():
             plain, *twin = [sum(entries[i][j] for j in col_index[mu].values())

@@ -112,28 +112,9 @@ def enumerate_dp_h(h: int, m: int) -> list:
     return list(_dp_h_gen(h, m, m))
 
 
-def _dpr_gen(h, rem, prev):
-    if rem == 0:
-        if prev is None or (prev % h != 0 and prev <= h):
-            yield ()
-        return
-    if prev is None:
-        hi, lo = rem, 1
-    elif prev % h == 0:
-        hi, lo = min(rem, prev), prev - h + 1
-    else:
-        hi, lo = min(rem, prev - 1), prev - h
-    for v in range(hi, max(lo, 1) - 1, -1):
-        for rest in _dpr_gen(h, rem - v, v):
-            yield (v,) + rest
-
-
 def enumerate_dpr_h(h: int, m: int) -> list:
-    """h-regular partitions of m, decreasing lex order."""
-    check_h(h)
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    return list(_dpr_gen(h, m, None))
+    """h-regular partitions of m, decreasing lex: DP_h(m) through in_dpr_h."""
+    return [lam for lam in enumerate_dp_h(h, m) if in_dpr_h(h, lam)]
 
 
 @functools.lru_cache(maxsize=None)

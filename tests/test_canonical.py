@@ -207,26 +207,25 @@ class TestSolverProperties:
 class TestPackedBound:
     """The solver's digit bound, at digit widths narrow enough to reach it."""
 
-    def test_narrow_digits_widen_once_then_refuse_with_context(self,
-                                                               monkeypatch):
-        # 4-bit digits overflow at m=10; the solver re-solves there at 8
-        # bits, and refuses when 8-bit digits overflow too
+    def test_narrow_digits_widen_until_they_fit(self, monkeypatch):
+        # 4-bit digits overflow at m=10 and 8-bit ones at m=21; each time
+        # the solver doubles its width and solves again from degree 1
+        want = canonical_basis(3, 21)
         monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
         solver = CanonicalBasis(3)
         solver.matrix(9)
         assert solver._bits == 4
         solver.matrix(20)
         assert solver._bits == 8
-        with pytest.raises(CoefficientBoundError,
-                           match=r"^h=3 m=21 column \(9, 7, 4, 1\): row "
-                                 r"\(10, 7, 4\): carried coefficient bound "
-                                 r"\d+ >= 2\^7$"):
-            solver.matrix(21)
+        assert solver.matrix(21) == want
+        assert solver._bits == 16
+        assert {col.bits for M in solver._matrices.values()
+                for col in M.columns.values()} == {16}
 
     def test_widened_degrees_match(self, monkeypatch):
-        # a degree re-solved at doubled digits, and the degrees after it,
-        # equal the 32-bit solve; the 32-bit columns are read after the
-        # patch, so they must decode at the width they were packed at
+        # degrees solved again at doubled digits equal the 32-bit solve;
+        # the 32-bit columns are read after the patch, so they must decode
+        # at the width they were packed at
         want = [canonical_basis(3, m) for m in range(23)]
         monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
         narrow = CanonicalBasis(3)

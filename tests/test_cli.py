@@ -253,18 +253,16 @@ class TestInternalErrors:
         assert err.count("\n") == 1
         assert "h=3 m=5" in err and "CanonicalBasisError" in err
 
-
-    def test_coefficient_bound_exit_code_3(self, capsys, monkeypatch):
+    def test_narrow_digits_widen_to_the_same_output(self, capsys,
+                                                   monkeypatch):
         from spinfock import laurent
-        # 4-bit digits, doubled once to 8 bits, overflow at h=3 m=21
+        # 4-bit digits overflow at h=3 m=10 and 8-bit ones at m=21: the
+        # solver widens to 16 bits and prints what 32-bit digits print
+        argv = ("canonical", "--n", "1", "--m", "21", "--format", "json")
+        code, want, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
         monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
-        code, out, err = run(capsys, "canonical", "--n", "1", "--m", "21")
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("internal error at h=3 m=21: "
-                              "CoefficientBoundError: h=3 m=21 column "
-                              "(9, 7, 4, 1): row (10, 7, 4): ")
+        assert run(capsys, *argv) == (0, want, "")
 
     def test_writer_bound_exit_code_3(self, capsys, monkeypatch):
         from spinfock import laurent

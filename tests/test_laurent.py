@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +66,15 @@ class TestRing:
     def test_no_zero_coefficients_stored(self):
         assert poly({3: 0, 1: 2})._c == {1: 2}
         assert not poly({5: 0})
+
+    @pytest.mark.parametrize("coeffs", [{0: 0.5}, {0.7: 3}, {0: 2.0},
+                                        {1: Fraction(1, 2)}, {"1": 1}],
+                             ids=["half", "float-exponent", "float-integral",
+                                  "fraction", "string-exponent"])
+    def test_non_integers_rejected(self, coeffs):
+        # int() would truncate 0.5 to a stored zero and 0.7 to q^0
+        with pytest.raises(TypeError):
+            poly(coeffs)
 
     def test_mul_example(self):
         # (q^2+1) + (q^2+1)(-q^2) = 1 - q^4

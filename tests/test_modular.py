@@ -172,8 +172,11 @@ class TestExternalReduction:
         (",21,3\n3,1\n", r"row '3': 1 entries under 2 column labels"),
         ("", "no header line"),
         (" \n,\n", "no header line"),
+        (",31\n3,1\n", r"^column \(3, 1\) is not in DPR_3\(3\)$"),
+        (",3\n3,1\n", r"^column \(3,\) is not in DPR_3\(3\)$"),
     ], ids=["lone-primed-row", "lone-primed-column", "repeated-row",
-            "repeated-column", "long-row", "short-row", "empty", "blank"])
+            "repeated-column", "long-row", "short-row", "empty", "blank",
+            "column-of-other-degree", "column-not-regular"])
     def test_malformed_csv_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             modular.reduce_external_matrix(text, 3)
