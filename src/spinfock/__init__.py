@@ -6,6 +6,8 @@ q = 1 reduction onto self-associate spin characters, including conjectural
 reduced decomposition matrices in odd characteristic.
 """
 
+import types
+
 from .laurent import (
     LaurentPoly,
     CoefficientBoundError,
@@ -66,21 +68,8 @@ from .modular import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LaurentPoly", "CoefficientBoundError", "ExactDivisionError",
-    "q_integer", "q_factorial",
-    "symmetrize_tail", "InvariantError",
-    "enumerate_dp", "enumerate_dp_h", "enumerate_dpr_h", "residue",
-    "residue_content", "ladders", "dominance_leq",
-    "shift_by_multiple", "a_h", "b_exponent",
-    "FockVector", "UncoveredDisorderError", "MixedWeightError",
-    "normal_order", "apply_f", "apply_e", "apply_t",
-    "apply_f_divided", "weight", "norm_squared",
-    "CrystalGraph", "ftilde", "etilde", "eps", "phi", "component",
-    "highest_weight_vertices",
-    "BasisMatrix", "CanonicalBasis", "CanonicalBasisError", "a_vector",
-    "canonical_basis", "check_basis_matrix",
-    "ReducedMatrix", "character_image", "strip_two_power", "reduced_matrix",
-    "reduce_external_matrix",
-    "__version__",
-]
+# every name imported above; the submodules they bind are not exports
+__all__ = [name for name, value in dict(globals()).items()
+           if not (name.startswith("_")
+                   or isinstance(value, types.ModuleType))]
+__all__.append("__version__")

@@ -1,44 +1,13 @@
-"""Canonical basis of the vacuum component, by triangular reduction.
+"""Canonical basis G(mu) of the vacuum component, by triangular reduction.
 
-For each h-regular label mu an intermediate bar-invariant vector A(mu) is
-built by applying the divided powers read off the ladders of mu (either to
-the vacuum, or, faster, the outermost ladder to the already-known canonical
-vector of the stripped label).  Labels of one degree are then processed in
-decreasing lex order: from the current vector subtract, for every
-lex-greater canonical label s in the same residue-content block and in
-increasing lex order, symmetrize_tail(coefficient at s) times G(s).  Each
-coefficient at a canonical label is touched exactly once, and the final
-column must be unitriangular with every off-diagonal entry in qZ[q].
-
-Every coefficient on the solver's path is packed (laurent.pack: the
-triple (e0, x, n) with x the coefficients as balanced base-2^b digits and
-n a carried l1 bound), at the solver's digit width b: B =
-laurent.DIGIT_BITS at first.  The fast route applies
-f_i^(k) label by label and memoises each packed image f_i^(k)|lam>
-(fock._f_divided) for one degree only.  A key (i, k, lam) with
-|lam| = m - k yields degree-m vectors, so it never recurs in another
-degree; a memo kept for the solver's lifetime would only hold dead entries
-and push the peak resident set up.  Each column is built in one mutable
-accumulator (laurent.PolyAccumulator) that takes both the intermediate
-vector's linear combination and every scale-and-subtract of the
-reduction, one int product and shift per (label, coefficient) pair;
-symmetrize_tail decodes only the coefficients of the block's earlier
-labels.  The accumulator is frozen once, into a fock.PackedVector, before
-the column is validated.  A column is a FockVector that decodes on read,
-so BasisMatrix serves LaurentPoly entries, and its JSON writer reads the
-digits directly, with no LaurentPoly and no to_json tree.  A carried bound
-that reaches 2^(b-1) raises CoefficientBoundError (never a guess); the
-solver then doubles b, keeps only the vacuum and solves again from degree
-1, as fock._act repeats an action, so all columns of a solver share one
-width.  Residue contents are cached per label for the solver's lifetime.
-
-One generator, column_failures, states the five column conditions: the
-solver raises on the first failure of each new column, check_basis_matrix
-reports every failure of a finished matrix.  Its integrality checks read
-each entry's least exponent (a packed entry's e0), and its triangularity
-check reads each row's running sums against the partial sums of the
-column label, computed once per column.  render_table and render_csv also
-render modular.ReducedMatrix.
+CanonicalBasis(h).matrix(m) returns the BasisMatrix of degree m: a column
+G(mu) for each mu in DPR_h(m), decreasing lex, over rows DP_h(m).  Each
+column has a unit diagonal, off-diagonal entries in qZ[q], rows of degree
+m that dominate mu, and one residue content (column_failures); the solver
+raises CanonicalBasisError on the first column that breaks one, and
+check_basis_matrix reports every failure of a finished matrix.  A label
+that is not in DPR_h raises ValueError.  a_vector(h, mu) is A(mu), the
+ladder monomial of mu applied to the vacuum.
 """
 
 from __future__ import annotations
@@ -62,11 +31,7 @@ class CanonicalBasisError(RuntimeError):
 
 
 def a_vector(h: int, mu) -> FockVector:
-    """Intermediate vector: the full ladder monomial applied to the vacuum.
-
-    Every divided power is the packed fock._f_divided, and the result is
-    decoded once, at the end (fock._act, which widens the digits as needed).
-    """
+    """Intermediate vector: the full ladder monomial applied to the vacuum."""
     dec = pt.ladders(h, mu)                 # the DP_h check of mu
     if not pt.in_dpr_h(h, dec.partition):
         raise ValueError(f"{dec.partition} is not {h}-regular")
@@ -236,10 +201,9 @@ class CanonicalBasis:
     def _intermediate(self, mu, memo) -> PolyAccumulator:
         """A(mu) in a fresh column accumulator at the solver's width.
 
-        The fast route applies f_res^(cnt) label by label to the column of
-        the stripped label, taking each f_res^(cnt)|lam> from `memo`, the
-        current degree's table, or computing it there once.  The slow route
-        never reads `memo`.
+        The fast route applies the outer ladder's f_res^(cnt) to the column
+        of the stripped label, each f_res^(cnt)|lam> read from or stored in
+        `memo`; the slow route never reads `memo`.
         """
         b = self._bits
         acc = PolyAccumulator(b)
@@ -264,7 +228,7 @@ class CanonicalBasis:
         then widens)."""
         labels = tuple(pt.enumerate_dpr_h(self.h, m))
         b = self._bits
-        memo = {}                               # dropped with this degree
+        memo = {}               # one degree's: no key recurs in another
         blocks = {}                             # content -> labels done
         done = {}
         for mu in labels:                       # decreasing lex

@@ -1,16 +1,9 @@
 """Command-line surface: crystal, canonical, decomp, ladders, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error (a broken engine invariant: a canonical column failing its checks, an
-inexact divided power, a packed coefficient the JSON writer cannot decode,
-an unstraightenable wedge word or an inconsistent ladder or crystal
-string), 141 when the reader closes stdout early.  Output is deterministic.
-canonical and decomp emit their matrix through one path, _emit_matrix, as
-an aligned table, CSV or JSON; canonical hands it only the solved matrix,
-so the solver and its lower degrees are freed before serialisation.  JSON
-is exactly json.dumps(obj, indent=2) and a newline, in pieces, never one
-string: a BasisMatrix's from BasisMatrix.json_chunks, all other JSON from
-one generic writer, _emit_json.  Only verify imports the verify module.
+main(argv) returns the exit code: 0 success, 1 verification failure, 2
+usage error (a ValueError), 3 internal error (a broken engine invariant),
+141 when the reader closes stdout early.  Output is deterministic; README's
+"Output formats" describes it.
 """
 
 from __future__ import annotations
@@ -119,13 +112,23 @@ def cmd_crystal(args) -> int:
 
 def cmd_canonical(args) -> int:
     h = _modulus(args)
+    # no name holds the solver, so its lower degrees are freed before writing
     return _emit_matrix(CanonicalBasis(h, fast=not args.slow).matrix(args.m),
                         args.format)
 
 
 def cmd_decomp(args) -> int:
-    return _emit_matrix(modular.reduced_matrix(_modulus(args), args.m),
-                        args.format)
+    p = _modulus(args)
+    R = modular.reduced_matrix(p, args.m)
+    _emit_matrix(R, args.format)
+    negative = R.negative_entries()
+    if negative:
+        lam, mu = negative[0]
+        noun = "entry" if len(negative) == 1 else "entries"
+        print(f"note: {len(negative)} negative {noun} at p={p} m={args.m}; "
+              f"first at row {pt.format_partition(lam)}, "
+              f"column {pt.format_partition(mu)}", file=sys.stderr)
+    return 0
 
 
 def cmd_ladders(args) -> int:

@@ -1,31 +1,11 @@
 """The q-deformed Fock space: wedge words, straightening, generator actions.
 
-A basis vector is labelled by a DP_h partition; a generic vector is a finite
-map from such labels to Laurent polynomials.  The lowering/raising action is
-positional over the finite part of the word plus one explicit vacuum slot;
-the infinite tail of u_0's only contributes through the vacuum rules.
-Which letters an action touches, and the q-powers it picks up, all come
-from the one color rule `partitions.residue`.
-
-Every action takes DP_h labels only: each input label is checked once, at
-entry, by `partitions.check_dp_h`.  f_i runs one kernel, `_f_raw`, on
-coefficients packed at a digit width b, {label: (e0, x, n)} (laurent.pack):
-each term is one sign, one shift and, at the short node, one
-x + (x << 2b).  In a DP_h label only the raised letter j -> j+1 can break
-the order, so the kernel straightens locally: the new letter bubbles left
-through the run of equal letters j with one -q^2 per swap, and the term
-vanishes next to an equal j+1 that is not a multiple of h (the vacuum term
-vanishes on a last part 1).  Every word of e_i goes to the generic
-`straighten`, which stays the oracle of the local rule.
-
-There is one divided power, `_f_divided`: k kernel passes with [k]_i!
-divided out by one checked integer division.  The public actions (`_act`)
-pack their input, run the kernel and decode the result; an action whose
-carried bound reaches the digits' reach is repeated at twice the width.
-So they stay exact for coefficients and divided powers of any size.  Only
-the canonical solver keeps packed values: its memo holds `_f_divided`
-images of single labels and its columns are PackedVectors that decode on
-read.
+A FockVector maps DP_h labels to LaurentPoly coefficients.  apply_f,
+apply_e, apply_t and apply_f_divided take DP_h labels only (ValueError from
+partitions.check_dp_h otherwise) and stay exact for coefficients and
+divided powers of any size; an inexact divided power raises
+ExactDivisionError.  straighten normal-orders any wedge word and raises
+UncoveredDisorderError where no rule applies.
 """
 
 from __future__ import annotations
@@ -138,14 +118,8 @@ class FockVector:
 
 
 class PackedVector(FockVector):
-    """A FockVector kept as {label: (e0, x, n)} packed at digit width
-    `bits`: the solver's columns.
-
-    Every read decodes on demand (laurent.unpack), so only the coefficients
-    that are printed or compared are ever unpacked; `packed` feeds the
-    solver's multiply-adds directly, and `least_exponents` reads e0, which
-    is the least exponent because the entries are normalized.
-    """
+    """A FockVector kept as normalized {label: (e0, x, n)} at digit width
+    `bits`, as the solver's columns are; every read decodes on demand."""
 
     __slots__ = ("packed", "bits")
 
@@ -319,8 +293,7 @@ def _f_divided(h, i, n, k, terms, b) -> dict:
 
     k kernel passes, one freeze (which checks and normalizes every bound),
     then each coefficient divided by [k]_i! as one checked integer division
-    (laurent.exact_quotient).  The canonical solver's memo holds the
-    images f_i^(k)|lam> of single labels; apply_f_divided decodes its own.
+    (laurent.exact_quotient).
     """
     raw = terms
     for _ in range(k):
@@ -333,13 +306,10 @@ def _f_divided(h, i, n, k, terms, b) -> dict:
 
 
 def _act(h, v, image) -> FockVector:
-    """The FockVector of image(terms of v packed at width b, b).
-
-    Every label of v is checked to be a DP_h partition first.  Packing is
-    exact for coefficients of any size and `pack` gives each its exact l1
-    norm; when a carried bound then reaches the reach of b-bit digits
-    (CoefficientBoundError), the whole action is repeated at width 2b,
-    starting from laurent.DIGIT_BITS.  So no input is refused.
+    """The FockVector of image(terms of v packed at width b, b), every
+    label of v checked to be a DP_h partition first.  b starts at
+    laurent.DIGIT_BITS and doubles on CoefficientBoundError, so no input
+    is refused.
     """
     terms = {pt.check_dp_h(h, lam): c for lam, c in v.terms()}
     b = laurent.DIGIT_BITS
@@ -382,11 +352,10 @@ def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
 
 
 def apply_f_divided(h: int, i: int, k: int, v: FockVector) -> FockVector:
-    """Divided power f_i^(k): the packed `_f_divided`, as the solver's.
+    """Divided power f_i^(k) = f_i^k / [k]_i!, exact for any k.
 
-    Exact for coefficients and k of any size.  Non-divisibility raises
-    ExactDivisionError; that always indicates a bug upstream, never
-    legitimate data.
+    Non-divisibility raises ExactDivisionError; that always indicates a
+    bug upstream, never legitimate data.
     """
     if k < 1:
         raise ValueError("divided power needs k >= 1")

@@ -1,21 +1,10 @@
-"""Exact arithmetic for integer Laurent polynomials in q.
+"""Exact arithmetic for integer Laurent polynomials in q, plain and packed.
 
-Every matrix entry and scalar downstream is a LaurentPoly.  Coefficients are
-plain Python ints, so nothing ever overflows; the zero polynomial is the
-empty coefficient map.
-
-The canonical solver keeps its coefficients packed instead (Kronecker
-substitution; Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", JSC 2009): at a digit width b, a polynomial
-sum_k a_k q^(e0+k) is the triple (e0, x, n) with x = sum_k a_k 2^(b*k) and
-n a carried upper bound on its l1 norm sum_k |a_k|.  Sums and products of
-the ints are exact whatever the digits do, so one product and one shift
-stand for a whole polynomial multiply-add.  Reading the digits back is
-exact only while every |a_k| < 2^(b-1): `packed_terms` (the decoder),
-`PolyAccumulator.freeze` and `exact_quotient` refuse with
-CoefficientBoundError once n reaches that bound, and never guess.  Every
-packing starts at b = DIGIT_BITS; a caller that meets the refusal repeats
-its work at twice the width (fock._act, canonical.CanonicalBasis.matrix).
+LaurentPoly is a sparse {exponent: nonzero int} map of plain ints.  pack,
+packed_terms, unpack, exact_quotient and PolyAccumulator hold a polynomial
+as (e0, x, n) at a digit width b, first DIGIT_BITS (README, "Design");
+each decoder raises CoefficientBoundError once the carried bound n reaches
+2^(b-1), and never guesses.
 """
 
 from __future__ import annotations
@@ -255,11 +244,10 @@ class PolyAccumulator:
     """Mutable map {key: polynomial packed at width b} that sums products
     in place.
 
-    Each value is a cell [e0, x, n] (see `pack`), so a multiply-add is one
-    int product and one shift; a cell's e0 drops whenever a term lands
-    below it.  Nothing is decoded while terms are added: `coefficient`
-    decodes one cell and `freeze` normalizes them all, both only under a
-    carried bound below 2^(b-1).
+    Each value is a cell [e0, x, n] (see `pack`) whose e0 drops whenever a
+    term lands below it.  Nothing is decoded while terms are added:
+    `coefficient` decodes one cell and `freeze` normalizes them all, both
+    only under a carried bound below 2^(b-1).
     """
 
     __slots__ = ("b", "cells")

@@ -1,15 +1,9 @@
 """Specialization at q = 1 and the spin-character bookkeeping.
 
-Ghosts, the non-strict labels, span the null space of the natural form at
-q = 1 and are dropped by the quotient map; a surviving strict label lam
-contributes on the self-associate character basis with the power-of-two
-scale 2^(b(lam) - a_p(lam)).  Character vectors are plain dicts {strict
-partition: coefficient}.  The classical part-replacement action is the
-cross-check of this quotient (the intertwiner check of `verify`).  An
-external decomposition matrix is read from CSV and reduced to the same
-columns in one call, reduce_external_matrix.  The functions here return
-results; `verify` turns them into checks (label counts against
-odd_series_coefficients, the rank of the character images).
+character_image drops ghost (non-strict) labels and scales a strict label
+lam by 2^(b(lam) - a_p(lam)); reduced_matrix normalizes each canonical
+column so, and reduce_external_matrix reduces a CSV decomposition matrix
+to the same columns.  Character vectors are {strict partition: int} dicts.
 """
 
 from __future__ import annotations

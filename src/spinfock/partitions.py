@@ -241,7 +241,9 @@ def shift_by_multiple(h: int, lam, mu) -> tuple:
 
 
 def parse_partition(text: str) -> tuple:
-    """Parse '5,4,1' or compact single-digit '541'; '' and '()' mean ()."""
+    """Parse '5,4,1' or compact single-digit '541'; '', '()' and '0' mean ().
+
+    A zero part in comma form, as in '3,0', raises ValueError."""
     s = text.strip()
     if s in ("", "()", "0"):
         return ()
@@ -253,6 +255,8 @@ def parse_partition(text: str) -> tuple:
                          "comma-separated parts (11,7,7,4) or single "
                          "digits (3321)") from None
     if comma:
+        if 0 in parts:
+            raise ValueError(f"{text!r} has a zero part")
         return check_partition(parts)
     if 0 in parts or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         return check_partition([int(s)])

@@ -65,6 +65,11 @@ class TestCrystalCommand:
         assert code == 2
         assert "is not a DP_3 partition" in err
 
+    def test_zero_part_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "crystal", "--n", "1", "--start", "3,0",
+                             "--max-degree", "4")
+        assert (code, out, err) == (2, "", "error: '3,0' has a zero part\n")
+
 
 class TestCanonicalCommand:
     def test_table_matches_embedded_rendering(self, capsys):
@@ -126,6 +131,21 @@ class TestDecompCommand:
         obj = json.loads(out)
         assert obj["columns"] == [
             {"label": [2], "entries": [{"row": [2], "value": 1}]}]
+
+    @pytest.mark.parametrize("p, m, note", [
+        (5, 20, "1 negative entry at p=5 m=20; first at row (11 4 3 2), "
+                "column (5 5 4 3 2 1)"),
+        (3, 27, "3 negative entries at p=3 m=27; first at row "
+                "(8 6 5 4 3 1), column (6 6 5 4 3 2 1)"),
+        (3, 10, None)], ids=["p5-m20", "p3-m27", "p3-m10"])
+    def test_negative_entries_noted_on_stderr(self, capsys, p, m, note):
+        R = modular.reduced_matrix(p, m)
+        for fmt, want in [("table", R.render_table()), ("csv", R.to_csv()),
+                          ("json", json.dumps(R.to_json(), indent=2) + "\n")]:
+            code, out, err = run(capsys, "decomp", "--p", str(p), "--m",
+                                 str(m), "--format", fmt)
+            assert (code, out) == (0, want)
+            assert err == (f"note: {note}\n" if note else "")
 
 
 class TestLaddersCommand:

@@ -3,6 +3,8 @@ import pytest
 from spinfock import crystal
 from spinfock import partitions as pt
 from spinfock import fixtures as fx
+from spinfock.canonical import CanonicalBasis
+from spinfock.fock import apply_f_divided
 
 
 def phi_letter(h, i, j):
@@ -112,6 +114,63 @@ class TestOperators:
                             break
                         cur, steps = nxt, steps + 1
                     assert steps == crystal.eps(h, i, lam)
+
+
+def expand_in_g(solver, v):
+    """{s: c_s} with v = sum_s c_s G(s), eliminating at the lex-least row.
+
+    G(s) is |s> plus rows lex-greater than s, so the lex-least support row
+    of what is left must be the label of the next G; it must be h-regular.
+    """
+    rest, out = dict(v.terms()), {}
+    while rest:
+        s = min(rest)
+        assert pt.in_dpr_h(solver.h, s), f"row {s} is not {solver.h}-regular"
+        c = out[s] = rest[s]
+        for lam, g in solver.column(s).terms():
+            left = rest.get(lam, 0) - c * g
+            if left:
+                rest[lam] = left
+            else:
+                del rest[lam]
+    return out
+
+
+class TestStringProperty:
+    """Kashiwara's string property of the global basis (Duke Math. J. 69,
+    1993), as used by Lascoux-Leclerc-Thibon (CMP 181, 1996): it ties the
+    crystal operators to the computed G."""
+
+    @pytest.mark.parametrize("h, top, cases", [(3, 20, 355), (5, 20, 671),
+                                               (7, 21, 967)])
+    def test_string_property(self, h, top, cases):
+        # a case is (nu, i, k) with f_i^(k) G(nu) nonzero, |nu| + k <= top
+        solver, seen = CanonicalBasis(h), 0
+        for d in range(top):
+            for nu in pt.enumerate_dpr_h(h, d):
+                g_nu = solver.column(nu)
+                for i in range(pt.rank(h) + 1):
+                    for k in range(1, top - d + 1):
+                        image = apply_f_divided(h, i, k, g_nu)
+                        if not image:
+                            break
+                        self.check(solver, nu, i, k, expand_in_g(solver, image))
+                        seen += 1
+        assert seen == cases
+
+    @staticmethod
+    def check(solver, nu, i, k, coeffs):
+        h, case = solver.h, (nu, i, k)
+        for s, c in coeffs.items():
+            assert c.bar() == c, (case, s, c)
+            assert crystal.eps(h, i, s) >= k, (case, s)
+        if crystal.eps(h, i, nu) == 0 and k <= crystal.phi(h, i, nu):
+            target = nu
+            for _ in range(k):
+                target = crystal.ftilde(h, i, target)
+            assert coeffs.get(target) == 1, (case, target, coeffs.get(target))
+            assert all(crystal.eps(h, i, s) > k
+                       for s in coeffs if s != target), case
 
 
 class TestComponent:

@@ -322,6 +322,17 @@ class TestParsing:
     def test_empty(self):
         assert pt.parse_partition("") == ()
         assert pt.parse_partition("()") == ()
+        assert pt.parse_partition("0") == ()
+
+    @pytest.mark.parametrize("text", ["3,0", "3,3,0", "0,0", "3,0,1"])
+    def test_zero_part_in_comma_form_refused(self, text):
+        with pytest.raises(ValueError) as exc:
+            pt.parse_partition(text)
+        assert str(exc.value) == f"{text!r} has a zero part"
+
+    def test_compact_strings_keep_their_meaning(self):
+        assert [pt.parse_partition(t) for t in ("12", "30", "21")] == [
+            (12,), (30,), (2, 1)]
 
     def test_format(self):
         assert pt.format_partition((5, 4, 1)) == "(5 4 1)"

@@ -1,12 +1,18 @@
 """Whole-source guards: checks that survive `python -O`, exports that match,
-and a tracer that installs."""
+a tracer that installs, and a README whose map and examples hold."""
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from spinfock import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spinfock"
@@ -24,7 +30,7 @@ def test_no_assert_in_package():
 
 
 def test_all_lists_exactly_the_imported_names():
-    # __all__ and the imports of __init__ are kept by hand; they must not drift
+    # __all__ is derived from the imports of __init__; it must list exactly them
     import spinfock
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     imported = [alias.asname or alias.name for node in tree.body
@@ -40,3 +46,62 @@ def test_perfbench_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_section(heading):
+    text = (ROOT / "README.md").read_text()
+    start = text.index("\n## " + heading + "\n")
+    end = text.find("\n## ", start + 1)
+    return text[start + 1:end if end >= 0 else None]
+
+
+def _code_block(section, lang):
+    return re.search(f"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def _resolve(dotted):
+    """The object a dotted name spinfock.<module>.<attr>... names."""
+    parts = dotted.split(".")
+    module = importlib.import_module(".".join(parts[:2]))
+    return functools.reduce(getattr, parts[2:], module)
+
+
+def _test_defined(test_id):
+    """Whether path::[Class::]test names a test function, read from the AST."""
+    path, *names = test_id.split("::")
+    body = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        node = next((n for n in body if getattr(n, "name", None) == name),
+                    None)
+        if node is None:
+            return False
+        body = node.body
+    return isinstance(node, ast.FunctionDef) and node.name.startswith("test")
+
+
+def test_design_map_names_real_functions_and_tests():
+    section = _readme_section("Design: from the paper to the code")
+    assert len(section.splitlines()) <= 60
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| ")][2:]
+    assert len(rows) == 9
+    for obj, defined, pinned in rows:
+        (name,), (test_id,) = (re.findall("`([^`]+)`", cell)
+                               for cell in (defined, pinned))
+        assert callable(_resolve(name)), (obj, name)
+        assert _test_defined(test_id), (obj, test_id)
+
+
+def test_readme_examples_run(capsys):
+    example = _code_block(_readme_section("Library quick start"), "python")
+    ns = {}
+    exec(example, ns)
+    assert f"# {ns['v']!r}\n" in example
+    assert f"# {ns['M'].entry((4, 3, 2, 1), (3, 3, 3, 1))}\n" in example
+    commands = [shlex.split(line, comments=True) for line in
+                _code_block(_readme_section("Command line"), "sh").splitlines()]
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "spinfock"
+        assert cli.main(argv[1:]) == 0, argv
+        capsys.readouterr()
