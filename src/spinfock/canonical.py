@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
 
-from .laurent import (CoefficientBoundError, LaurentPoly, ONE, PolyAccumulator,
-                      pack, packed_terms, symmetrize_tail)
+from .laurent import (CoefficientBoundError, LaurentPoly, ONE, add_scaled,
+                      freeze, pack, packed_terms, symmetrize_tail, unpack)
 from . import laurent
 from .fock import UNIT, FockVector, PackedVector, _act, _f_divided
 from . import partitions as pt
@@ -198,29 +198,28 @@ class CanonicalBasis:
             content = self._contents[lam] = pt.residue_content(self.h, lam)
         return content
 
-    def _intermediate(self, mu, memo) -> PolyAccumulator:
-        """A(mu) in a fresh column accumulator at the solver's width.
+    def _intermediate(self, mu, memo) -> dict:
+        """A(mu) as a fresh dict of cells at the solver's width.
 
         The fast route applies the outer ladder's f_res^(cnt) to the column
         of the stripped label, each f_res^(cnt)|lam> read from or stored in
         `memo`; the slow route never reads `memo`.
         """
         b = self._bits
-        acc = PolyAccumulator(b)
         if not self.fast:
-            acc.add_scaled(UNIT, [(lam, pack(c, b)) for lam, c
-                                  in a_vector(self.h, mu).terms()])
-            return acc
+            return {lam: list(pack(c, b))
+                    for lam, c in a_vector(self.h, mu).terms()}
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
         n = pt.rank(self.h)
+        cells = {}
         for lam, c in self.column(nu).packed.items():
             key = (res, cnt, lam)
             image = memo.get(key)
             if image is None:
                 image = memo[key] = _f_divided(self.h, res, n, cnt,
                                                {lam: UNIT}, b).items()
-            acc.add_scaled(c, image)
-        return acc
+            add_scaled(cells, c, image, b)
+        return cells
 
     def _solve_degree(self, m: int) -> BasisMatrix:
         """Degree m at the solver's digit width; a carried bound that
@@ -234,12 +233,14 @@ class CanonicalBasis:
         for mu in labels:                       # decreasing lex
             content = self._residue_content(mu)
             block = blocks.setdefault(content, [])
-            acc = self._intermediate(mu, memo)
+            cells = self._intermediate(mu, memo)
             for s in reversed(block):           # lex-greater, increasing lex
-                gamma = symmetrize_tail(acc.coefficient(s))
-                if gamma:
-                    acc.add_scaled(pack(-gamma, b), done[s].packed.items())
-            vec = PackedVector(acc.freeze(), b)
+                if s in cells:
+                    gamma = symmetrize_tail(unpack(cells[s], b, s))
+                    if gamma:
+                        add_scaled(cells, pack(-gamma, b),
+                                   done[s].packed.items(), b)
+            vec = PackedVector(freeze(cells, b), b)
             self._validate_column(mu, vec, m)
             block.append(mu)
             done[mu] = vec

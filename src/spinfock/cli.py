@@ -161,24 +161,8 @@ def cmd_verify(args) -> int:
     from . import verify as vf      # the other commands never load it
     report = vf.run_suite(args.suite, max_degree=args.max_degree,
                           seed=args.seed)
-    payload = report.to_json()
-    if args.suite in ("properties", "all"):
-        payload["exports"] = _conjecture_exports()
-    _emit_json(payload)
+    _emit_json(report.to_json())
     return 0 if report.ok else 1
-
-
-def _conjecture_exports() -> dict:
-    """Reduced-matrix data published for comparison with external tables."""
-    from . import fixtures as fx
-    R = modular.reduced_matrix(3, 11)
-    return {
-        "reduced_matrix_p3_m11": R.to_json(),
-        "external_column_combinations_p3_m11": [
-            [list(mu) for mu in combo]
-            for combo in fx.M11_P3_EXTERNAL_COMBINATIONS
-        ],
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:

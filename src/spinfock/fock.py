@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 
-from .laurent import (CoefficientBoundError, LaurentPoly, ONE,
-                      PolyAccumulator, ZERO, _accumulate, _add_cell,
-                      exact_quotient, pack, q_factorial, unpack)
+from .laurent import (CoefficientBoundError, LaurentPoly, ONE, ZERO,
+                      _accumulate, _add_cell, exact_quotient, freeze, pack,
+                      q_factorial, unpack)
 from . import laurent
 from . import partitions as pt
 
@@ -298,7 +298,7 @@ def _f_divided(h, i, n, k, terms, b) -> dict:
     raw = terms
     for _ in range(k):
         raw = _f_raw(h, i, n, raw, b)
-    image = PolyAccumulator(b, raw).freeze()
+    image = freeze(raw, b)
     if k == 1:
         return image
     fact = _packed_factorial(k, i, n, b)

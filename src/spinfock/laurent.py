@@ -1,10 +1,12 @@
 """Exact arithmetic for integer Laurent polynomials in q, plain and packed.
 
 LaurentPoly is a sparse {exponent: nonzero int} map of plain ints.  pack,
-packed_terms, unpack, exact_quotient and PolyAccumulator hold a polynomial
-as (e0, x, n) at a digit width b, first DIGIT_BITS (README, "Design");
-each decoder raises CoefficientBoundError once the carried bound n reaches
-2^(b-1), and never guesses.
+packed_terms, unpack and exact_quotient hold a polynomial as (e0, x, n) at
+a digit width b, first DIGIT_BITS (README, "Design"); a column under
+construction is a plain dict of cells [e0, x, n] that add_scaled sums into
+and freeze normalizes.  Each decoder, freeze included, raises
+CoefficientBoundError once the carried bound n reaches 2^(b-1), and never
+guesses.
 """
 
 from __future__ import annotations
@@ -240,54 +242,11 @@ def exact_quotient(c, d, b: int, row=None) -> tuple:
     return e - d0, quo, sum(map(abs, digits))
 
 
-class PolyAccumulator:
-    """Mutable map {key: polynomial packed at width b} that sums products
-    in place.
-
-    Each value is a cell [e0, x, n] (see `pack`) whose e0 drops whenever a
-    term lands below it.  Nothing is decoded while terms are added:
-    `coefficient` decodes one cell and `freeze` normalizes them all, both
-    only under a carried bound below 2^(b-1).
-    """
-
-    __slots__ = ("b", "cells")
-
-    def __init__(self, b: int, cells=None):
-        self.b = b
-        self.cells = {} if cells is None else cells
-
-    def add_scaled(self, scalar, terms) -> None:
-        """self[key] += scalar * c for every (key, c) in terms, all packed
-        at width self.b."""
-        cells = self.cells
-        s0, sx, sn = scalar
-        b = self.b
-        for key, (e, x, n) in terms:
-            _add_cell(cells, key, e + s0, sx * x, sn * n, b)
-
-    def coefficient(self, key) -> LaurentPoly:
-        c = self.cells.get(key)
-        return unpack(c, self.b, key) if c else ZERO
-
-    def freeze(self) -> dict:
-        """{key: (e0, x, n)}: zeros dropped, e0 the least exponent, and a
-        bound that has passed 2^(b/2) tightened to the exact l1 norm by
-        decoding, so products in the next degree start small."""
-        b = self.b
-        half, tight = 1 << (b - 1), 1 << (b // 2)
-        out = {}
-        for key, (e, x, n) in self.cells.items():
-            if n >= half:
-                raise CoefficientBoundError(n, key, b)
-            if x:
-                low = ((x & -x).bit_length() - 1) // b
-                if low:
-                    e += low
-                    x >>= b * low
-                if n >= tight:
-                    n = sum(map(abs, _digits(x, b)))
-                out[key] = (e, x, n)
-        return out
+def add_scaled(cells, scalar, terms, b) -> None:
+    """cells[key] += scalar * c for every (key, c) in terms, at width b."""
+    s0, sx, sn = scalar
+    for key, (e, x, n) in terms:
+        _add_cell(cells, key, e + s0, sx * x, sn * n, b)
 
 
 def _add_cell(cells, key, e, x, n, b):
@@ -303,6 +262,26 @@ def _add_cell(cells, key, e, x, n, b):
         cell[1] = x + (cell[1] << (-b * d))
         cell[0] = e
     cell[2] += n
+
+
+def freeze(cells, b) -> dict:
+    """{key: (e0, x, n)} of cells at width b: zeros dropped, e0 the least
+    exponent, and a bound that has passed 2^(b/2) tightened to the exact l1
+    norm by decoding, so products in the next degree start small."""
+    half, tight = 1 << (b - 1), 1 << (b // 2)
+    out = {}
+    for key, (e, x, n) in cells.items():
+        if n >= half:
+            raise CoefficientBoundError(n, key, b)
+        if x:
+            low = ((x & -x).bit_length() - 1) // b
+            if low:
+                e += low
+                x >>= b * low
+            if n >= tight:
+                n = sum(map(abs, _digits(x, b)))
+            out[key] = (e, x, n)
+    return out
 
 
 def _accumulate(out, key, value):

@@ -144,21 +144,25 @@ def reduce_external_matrix(text: str, p: int) -> ReducedMatrix:
     carry equal entries in every summed column; a mismatch, a pairing that
     contradicts the parity class of the row label, a column label outside
     DPR_p(m), a dangling prime, a repeated label, a row whose length
-    differs from the header's, or text with no header is reported as
-    inconsistent data (ValueError).
+    differs from the header's, an entry that is not an integer, or text
+    with no header or no rows is reported as inconsistent data
+    (ValueError).
     """
     pt.check_h(p)
     lines = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
     if not lines:
         raise ValueError("external matrix has no header line")
     header, body = lines[0], lines[1:]
+    if not body:
+        raise ValueError("external matrix has no rows")
     for r in body:
         if len(r) != len(header):
             raise ValueError(f"row {r[0].strip()!r}: {len(r) - 1} entries "
                              f"under {len(header) - 1} column labels")
     col_index = _twins(header[1:], "column")
     row_index = _twins([r[0] for r in body], "row")
-    entries = [[int(x) for x in r[1:]] for r in body]
+    entries = [[_entry(x, r[0], c) for x, c in zip(r[1:], header[1:])]
+               for r in body]
     degrees = {sum(lam) for lam in row_index}
     if len(degrees) != 1:
         raise ValueError("fixture rows must share one degree")
@@ -185,6 +189,15 @@ def reduce_external_matrix(text: str, p: int) -> ReducedMatrix:
                 col[lam] = plain
         columns[mu] = col
     return ReducedMatrix(p, m, tuple(col_bases), columns)
+
+
+def _entry(text, row, column) -> int:
+    """The integer in one CSV cell; the error names its row and column."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"row {row.strip()!r}, column {column.strip()!r}: "
+                         f"entry {text!r} is not an integer") from None
 
 
 # -- classical part-replacement action ---------------------------------------
@@ -235,6 +248,8 @@ def classical_image(p: int, vec: FockVector) -> dict:
 def odd_series_coefficients(p: int, max_m: int) -> list:
     """Coefficients of prod over odd i not divisible by p of 1/(1 - t^i)."""
     pt.check_h(p)
+    if max_m < 0:
+        raise ValueError("degree must be nonnegative")
     coeffs = [0] * (max_m + 1)
     coeffs[0] = 1
     for i in range(1, max_m + 1, 2):

@@ -34,20 +34,19 @@ class CheckResult:
 class Report:
     suite: str
     results: tuple
+    exports: dict | None = None     # data for external tables; not `paper`
 
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "ok": self.ok,
-            "results": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail}
-                for r in self.results
-            ],
-        }
+        out = {"suite": self.suite, "ok": self.ok,
+               "results": [{"name": r.name, "ok": r.ok, "detail": r.detail}
+                           for r in self.results]}
+        if self.exports is not None:
+            out["exports"] = self.exports
+        return out
 
 
 def _compare(name, computed, expected) -> CheckResult:
@@ -381,7 +380,14 @@ def run_property_suite(max_degree: int = 9, seed: int = 0) -> Report:
         count_checks(5, max(max_degree, 12)),
         count_checks(7, max(max_degree, 12)),
     ]
-    return Report("properties", tuple(results))
+    exports = {
+        "reduced_matrix_p3_m11": modular.reduced_matrix(3, 11).to_json(),
+        "external_column_combinations_p3_m11": [
+            [list(mu) for mu in combo]
+            for combo in fx.M11_P3_EXTERNAL_COMBINATIONS
+        ],
+    }
+    return Report("properties", tuple(results), exports)
 
 
 def run_suite(name: str, max_degree: int = 9, seed: int = 0) -> Report:
@@ -394,5 +400,5 @@ def run_suite(name: str, max_degree: int = 9, seed: int = 0) -> Report:
     if name == "all":
         paper = run_paper_suite()
         props = run_property_suite(max_degree, seed)
-        return Report("all", paper.results + props.results)
+        return Report("all", paper.results + props.results, props.exports)
     raise ValueError(f"unknown suite {name!r}")

@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from spinfock import crystal, modular
 from spinfock.canonical import CanonicalBasis
 from spinfock.cli import _emit_json, main
+from spinfock.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -210,6 +211,16 @@ class TestVerifyCommand:
         labels = [c["label"] for c in
                   obj["exports"]["reduced_matrix_p3_m11"]["columns"]]
         assert len(labels) == 5
+
+    @pytest.mark.parametrize("suite", ["paper", "properties", "all"])
+    def test_stdout_is_the_report(self, capsys, suite):
+        # the report carries its exports; the command adds nothing
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--max-degree", "6")
+        assert code == 0
+        report = run_suite(suite, max_degree=6)
+        assert out == json.dumps(report.to_json(), indent=2) + "\n"
+        assert (report.exports is None) == (suite == "paper")
 
     def test_stdout_independent_of_seed(self, capsys):
         # perfbench/run.py drops --seed from its expected-digest key

@@ -9,10 +9,11 @@ from spinfock.laurent import (
     CoefficientBoundError,
     LaurentPoly,
     ExactDivisionError,
-    PolyAccumulator,
     ZERO,
     _digits,
+    add_scaled,
     exact_quotient,
+    freeze,
     pack,
     unpack,
     ONE,
@@ -189,19 +190,21 @@ class TestSymmetrizeTail:
         assert not in_q_z_of_q(c - (g + delta))
 
 
-class TestPolyAccumulator:
-    """The packed accumulator against LaurentPoly arithmetic."""
+class TestPackedCells:
+    """add_scaled and freeze on a dict of cells against LaurentPoly
+    arithmetic."""
 
     @given(st.lists(st.tuples(polys, st.sampled_from("abc"), polys), max_size=6))
     def test_matches_poly_arithmetic(self, products):
-        acc = PolyAccumulator(B)
+        cells = {}
         expected = {}
         for scalar, key, p in products:
-            acc.add_scaled(pack(scalar, B), [(key, pack(p, B))])
+            add_scaled(cells, pack(scalar, B), [(key, pack(p, B))], B)
             expected[key] = expected.get(key, ZERO) + scalar * p
         for key in "abc":
-            assert acc.coefficient(key) == expected.get(key, ZERO)
-        frozen = acc.freeze()
+            got = unpack(cells[key], B) if key in cells else ZERO
+            assert got == expected.get(key, ZERO)
+        frozen = freeze(cells, B)
         assert {k: unpack(c, B) for k, c in frozen.items()} == {
             k: v for k, v in expected.items() if v}
         # normalized: e0 is the least exponent
@@ -209,12 +212,13 @@ class TestPolyAccumulator:
                    for k, (e0, _, _) in frozen.items())
 
     def test_cancellation_is_pruned(self):
-        acc = PolyAccumulator(B)
+        cells = {}
         p = poly({-1: 2, 3: 1})
-        acc.add_scaled(pack(ONE, B), [("a", pack(p, B)), ("b", pack(ONE, B))])
-        acc.add_scaled(pack(-ONE, B), [("a", pack(p, B))])
-        assert acc.coefficient("a") == ZERO
-        assert acc.freeze() == {"b": (0, 1, 1)}
+        add_scaled(cells, pack(ONE, B),
+                   [("a", pack(p, B)), ("b", pack(ONE, B))], B)
+        add_scaled(cells, pack(-ONE, B), [("a", pack(p, B))], B)
+        assert unpack(cells["a"], B) == ZERO
+        assert freeze(cells, B) == {"b": (0, 1, 1)}
 
 
 HALF = 1 << (B - 1)
@@ -247,16 +251,16 @@ class TestPacked:
             unpack((0, 1, HALF), B, (2, 1))
 
     def test_freeze_refuses_at_the_bound(self):
-        acc = PolyAccumulator(B, {"a": [0, 1, 1], "b": [0, 1, HALF]})
+        cells = {"a": [0, 1, 1], "b": [0, 1, HALF]}
         with pytest.raises(CoefficientBoundError, match="row b"):
-            acc.freeze()
+            freeze(cells, B)
         with pytest.raises(CoefficientBoundError, match="row b"):
-            acc.coefficient("b")
+            unpack(cells["b"], B, "b")
 
     def test_freeze_normalizes_and_tightens(self):
         x = (5 << (2 * B)) - (3 << (3 * B))
-        acc = PolyAccumulator(B, {"a": [-4, x, 1 << 20], "z": [0, 0, 7]})
-        assert acc.freeze() == {"a": (-2, 5 - (3 << B), 8)}
+        cells = {"a": [-4, x, 1 << 20], "z": [0, 0, 7]}
+        assert freeze(cells, B) == {"a": (-2, 5 - (3 << B), 8)}
 
     @given(polys, st.integers(2, 4), st.integers(0, 2))
     def test_exact_quotient_inverts_multiplication(self, p, k, i):

@@ -174,9 +174,12 @@ class TestExternalReduction:
         (" \n,\n", "no header line"),
         (",31\n3,1\n", r"^column \(3, 1\) is not in DPR_3\(3\)$"),
         (",3\n3,1\n", r"^column \(3,\) is not in DPR_3\(3\)$"),
+        (",3\n3,x\n", r"^row '3', column '3': entry 'x' is not an integer$"),
+        (",3\n", "^external matrix has no rows$"),
     ], ids=["lone-primed-row", "lone-primed-column", "repeated-row",
             "repeated-column", "long-row", "short-row", "empty", "blank",
-            "column-of-other-degree", "column-not-regular"])
+            "column-of-other-degree", "column-not-regular", "non-integer",
+            "header-only"])
     def test_malformed_csv_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             modular.reduce_external_matrix(text, 3)
@@ -241,6 +244,11 @@ class TestCountsAndRanks:
         coeffs = modular.odd_series_coefficients(p, 20)
         for m in range(21):
             assert coeffs[m] == oracle_count_odd_parts(p, m)
+
+    def test_series_of_negative_degree_refused(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            modular.odd_series_coefficients(3, -1)
+        assert modular.odd_series_coefficients(3, 0) == [1]
 
     def test_rank_small(self):
         assert verify.rank_checks(3, 1) == verify.CheckResult(
