@@ -7,10 +7,13 @@ the right; string statistics combine by the usual two-factor rules
     phi(head, tail) = phi(head) + max(0, phi(tail) - eps(head)),
     eps(head, tail) = eps(tail) + max(0, eps(head) - phi(tail)),
 and the lowering operator moves the head iff eps(head) >= phi(tail).
+A letter's (eps_i, phi_i) depends only on its residue class mod h, so it is
+read from one cached row per (h, i), built once by `_walk`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import partitions as pt
@@ -29,18 +32,29 @@ def _walk(h, i, start, step):
     return count
 
 
+@functools.lru_cache(maxsize=None)
+def _letter_stats(h, i):
+    """Per residue j mod h: (eps, phi) of a letter j for color i."""
+    return tuple((_walk(h, i, j - 1, -1), _walk(h, i, j, 1)) for j in range(h))
+
+
 def _suffix_stats(h, i, lam):
     """(letters, stats): letters[k] = (eps, phi) of the letter lam[k] and
     stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""
     n = pt.check_color(h, i)
-    letters = [(_walk(h, i, j - 1, -1), _walk(h, i, j, 1)) for j in lam]
+    table = _letter_stats(h, i)
+    letters = [table[j % h] for j in lam]
     r = len(lam)
     stats = [(0, 0)] * (r + 1)
-    stats[r] = (0, 1 if i == n else 0)
+    et, ft = 0, 1 if i == n else 0
+    stats[r] = (et, ft)
     for k in range(r - 1, -1, -1):
         ea, pa = letters[k]
-        et, ft = stats[k + 1]
-        stats[k] = (et + max(0, ea - ft), pa + max(0, ft - ea))
+        if ea > ft:
+            et, ft = et + ea - ft, pa
+        else:
+            ft += pa - ea
+        stats[k] = (et, ft)
     return letters, stats
 
 

@@ -48,6 +48,58 @@ class TestLetterStrings:
                     assert phi_letter(h, i, j + 1) == phi_letter(h, i, j) - 1
 
 
+class TestLetterTable:
+    @pytest.mark.parametrize("h", [3, 5, 7, 9])
+    def test_table_matches_walks(self, h):
+        # j = 0 and j = -1 mod h sit on the short node's string -1 -> 0 -> 1
+        for i in range(pt.rank(h) + 1):
+            table = crystal._letter_stats(h, i)
+            assert len(table) == h
+            for j in range(4 * h + 1):
+                assert table[j % h] == (eps_letter(h, i, j),
+                                        phi_letter(h, i, j)), (i, j)
+
+
+def reference_stats(h, i, lam):
+    """Per-letter walks folded by the two-factor rules, vacuum on the right."""
+    letters = [(eps_letter(h, i, j), phi_letter(h, i, j)) for j in lam]
+    stats = [(0, 1 if i == pt.rank(h) else 0)]
+    for ea, pa in reversed(letters):
+        et, ft = stats[0]
+        stats.insert(0, (et + max(0, ea - ft), pa + max(0, ft - ea)))
+    return letters, stats
+
+
+def reference_ftilde(h, i, lam):
+    letters, stats = reference_stats(h, i, lam)
+    for k, (ea, pa) in enumerate(letters):
+        if ea >= stats[k + 1][1]:
+            return None if pa == 0 else lam[:k] + (lam[k] + 1,) + lam[k + 1:]
+    return lam + (1,) if i == pt.rank(h) else None
+
+
+def reference_etilde(h, i, lam):
+    letters, stats = reference_stats(h, i, lam)
+    for k, (ea, _) in enumerate(letters):
+        if ea > stats[k + 1][1]:
+            return pt.check_partition(lam[:k] + (lam[k] - 1,) + lam[k + 1:])
+    return None
+
+
+class TestOperatorsAgainstWalks:
+    @pytest.mark.parametrize("h", [3, 5, 7])
+    def test_every_label_and_color(self, h):
+        for m in range(13):
+            for lam in pt.enumerate_dp_h(h, m):
+                for i in range(pt.rank(h) + 1):
+                    case = (h, i, lam)
+                    assert crystal.ftilde(h, i, lam) == reference_ftilde(*case)
+                    assert crystal.etilde(h, i, lam) == reference_etilde(*case)
+                    eps0, phi0 = reference_stats(*case)[1][0]
+                    assert crystal.eps(h, i, lam) == eps0, case
+                    assert crystal.phi(h, i, lam) == phi0, case
+
+
 class TestOperators:
     def test_string_from_2(self):
         walk = [(2,)]

@@ -275,6 +275,16 @@ class TestCountsAndRanks:
     def test_rank_sweep(self, m):
         assert verify.rank_checks(3, m).ok
 
+    @pytest.mark.parametrize("helper", [
+        verify.triangularity_holds, verify.shift_equivariance_holds,
+        verify.fast_slow_agree, verify.quotient_intertwines,
+        verify.commutator_holds, verify.divided_power_integrality,
+        verify.rank_checks, verify.count_checks])
+    def test_property_helpers_refuse_negative_degree(self, helper):
+        with pytest.raises(ValueError,
+                           match=r"^degree bound must be nonnegative, got -1$"):
+            helper(3, -1)
+
 
 # G(5,5,4,3,2,1) at h = 5, m = 20 as {row: {exponent: coefficient}}: the
 # first canonical column with a negative q = 1 entry at p = 5, the -q^6 at
