@@ -24,6 +24,7 @@ from .laurent import (CoefficientBoundError, LaurentPoly, ONE, add_scaled,
 from . import laurent
 from .fock import UNIT, FockVector, PackedVector, _act, _f_divided
 from . import partitions as pt
+from .partitions import json_block
 
 
 class CanonicalBasisError(RuntimeError):
@@ -49,15 +50,6 @@ _P6, _P10 = "\n" + " " * 6, "\n" + " " * 10
 _COLUMN = ('\n    {%s"label": %%s,%s"bottom": %%s,%s"entries": %%s\n    }'
            % ((_P6,) * 3))
 _ENTRY = '{%s"row": %%s,%s"poly": %%s\n        }' % ((_P10,) * 2)
-
-
-def _json_block(items, pad, brackets="[]") -> str:
-    """Indent-2 JSON of a list (or object) of item texts, opened at `pad`."""
-    ipad = "," + pad + "  "
-    body = ipad.join(items)
-    if not body:
-        return brackets
-    return brackets[0] + ipad[1:] + body + pad + brackets[1]
 
 
 def render_table(M, row_name) -> str:
@@ -137,12 +129,12 @@ class BasisMatrix:
             for lam, c in terms:
                 row = rows.get(lam)
                 if row is None:
-                    row = rows[lam] = _json_block(map(str, lam), _P10)
+                    row = rows[lam] = json_block(map(str, lam), _P10)
                 poly = ['"%d": %d' % t for t in packed_terms(c, col.bits, lam)]
-                entries.append(_ENTRY % (row, _json_block(poly, _P10, "{}")))
-            yield sep + _COLUMN % (_json_block(map(str, mu), _P6),
-                                   _json_block(map(str, terms[0][0]), _P6),
-                                   _json_block(entries, _P6))
+                entries.append(_ENTRY % (row, json_block(poly, _P10, "{}")))
+            yield sep + _COLUMN % (json_block(map(str, mu), _P6),
+                                   json_block(map(str, terms[0][0]), _P6),
+                                   json_block(entries, _P6))
             sep = ","
         yield ("\n  ]" if self.labels else sep + "]") + "\n}\n"
 

@@ -106,7 +106,8 @@ def cmd_crystal(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
     else:
-        _emit_json(graph.to_json())
+        for chunk in graph.json_chunks():
+            sys.stdout.write(chunk)
     return 0
 
 

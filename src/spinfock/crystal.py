@@ -95,6 +95,10 @@ def etilde(h: int, i: int, lam):
     return None
 
 
+_P4, _P6 = "\n" + " " * 4, "\n" + " " * 6
+_EDGE = '\n    {%s"from": %%s,%s"color": %%d,%s"to": %%s\n    }' % ((_P6,) * 3)
+
+
 @dataclass(frozen=True)
 class CrystalGraph:
     """Finite piece of a colored crystal: degree-raising edges only."""
@@ -123,6 +127,28 @@ class CrystalGraph:
                 for a, i, b in self.edges
             ],
         }
+
+    def json_chunks(self):
+        """json.dumps(self.to_json(), indent=2) + "\\n", one string per
+        vertex and per edge; each edge end's label is rendered once per call."""
+        ends = {}
+
+        def end(v):
+            text = ends.get(v)
+            if text is None:
+                text = ends[v] = pt.json_block(map(str, v), _P6)
+            return text
+
+        sep = '{\n  "h": %d,\n  "max_degree": %d,\n  "vertices": [' % (
+            self.h, self.max_degree)
+        for v in self.vertices:
+            yield sep + _P4 + pt.json_block(map(str, v), _P4)
+            sep = ","
+        sep = ("\n  ]" if self.vertices else sep + "]") + ',\n  "edges": ['
+        for a, i, b in self.edges:
+            yield sep + _EDGE % (end(a), i, end(b))
+            sep = ","
+        yield ("\n  ]" if self.edges else sep + "]") + "\n}\n"
 
     def to_dot(self) -> str:
         def name(v):

@@ -266,3 +266,12 @@ def parse_partition(text: str) -> tuple:
 def format_partition(lam) -> str:
     """Render like (5 4 1); the empty partition prints as ()."""
     return "(" + " ".join(str(p) for p in lam) + ")"
+
+
+def json_block(items, pad, brackets="[]") -> str:
+    """Indent-2 JSON of a list (or object) of item texts, opened at `pad`."""
+    ipad = "," + pad + "  "
+    body = ipad.join(items)
+    if not body:
+        return brackets
+    return brackets[0] + ipad[1:] + body + pad + brackets[1]

@@ -389,6 +389,12 @@ class TestJsonLayout:
          lambda: modular.reduced_matrix(3, 12).to_json()),
         (("crystal", "--n", "1", "--start", "3", "--max-degree", "12"),
          lambda: crystal.component(3, (3,), 12).to_json()),
+        (("crystal", "--n", "1", "--max-degree", "0"),          # no edges
+         lambda: crystal.component(3, (), 0).to_json()),
+        (("crystal", "--n", "2", "--start", "5", "--max-degree", "20"),
+         lambda: crystal.component(5, (5,), 20).to_json()),
+        (("crystal", "--n", "3", "--max-degree", "16"),
+         lambda: crystal.component(7, (), 16).to_json()),
     ])
     def test_matches_to_json(self, capsys, argv, build):
         code, out, _ = run(capsys, *argv, "--format", "json")
