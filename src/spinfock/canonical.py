@@ -119,19 +119,25 @@ class BasisMatrix:
     def json_chunks(self):
         """json.dumps(self.to_json(), indent=2) + "\\n", one string per
         column, from the packed digits (laurent.packed_terms, so guarded);
-        each row label is rendered once per call."""
-        rows = {}
+        each row label and each packed entry at one width is rendered once
+        per call."""
+        rows, polys_at = {}, {}
         sep = '{\n  "h": %d,\n  "m": %d,\n  "columns": [' % (self.h, self.m)
         for mu in self.labels:
             col = self.columns[mu]
+            polys = polys_at.setdefault(col.bits, {})
             terms = sorted(col.packed.items(), reverse=True)    # bottom first
             entries = []
             for lam, c in terms:
                 row = rows.get(lam)
                 if row is None:
                     row = rows[lam] = json_block(map(str, lam), _P10)
-                poly = ['"%d": %d' % t for t in packed_terms(c, col.bits, lam)]
-                entries.append(_ENTRY % (row, json_block(poly, _P10, "{}")))
+                poly = polys.get(c)
+                if poly is None:
+                    poly = polys[c] = json_block(
+                        ['"%d": %d' % t
+                         for t in packed_terms(c, col.bits, lam)], _P10, "{}")
+                entries.append(_ENTRY % (row, poly))
             yield sep + _COLUMN % (json_block(map(str, mu), _P6),
                                    json_block(map(str, terms[0][0]), _P6),
                                    json_block(entries, _P6))
@@ -162,8 +168,10 @@ class CanonicalBasis:
         self._start(laurent.DIGIT_BITS)
 
     def _start(self, bits):
-        """Forget every column but the vacuum, packed at digit width bits."""
+        """Forget every column but the vacuum, packed at digit width bits,
+        and the tables of stored labels and entries (laurent.freeze)."""
         self._bits = bits
+        self._keys, self._values = {}, {}
         vacuum = PackedVector({(): UNIT}, bits)
         self._matrices = {0: BasisMatrix(self.h, 0, ((),), {(): vacuum})}
 
@@ -232,7 +240,7 @@ class CanonicalBasis:
                     if gamma:
                         add_scaled(cells, pack(-gamma, b),
                                    done[s].packed.items(), b)
-            vec = PackedVector(freeze(cells, b), b)
+            vec = PackedVector(freeze(cells, b, self._keys, self._values), b)
             self._validate_column(mu, vec, m)
             block.append(mu)
             done[mu] = vec

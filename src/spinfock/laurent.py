@@ -264,10 +264,15 @@ def _add_cell(cells, key, e, x, n, b):
     cell[2] += n
 
 
-def freeze(cells, b) -> dict:
+def freeze(cells, b, keys=None, values=None) -> dict:
     """{key: (e0, x, n)} of cells at width b: zeros dropped, e0 the least
     exponent, and a bound that has passed 2^(b/2) tightened to the exact l1
-    norm by decoding, so products in the next degree start small."""
+    norm by decoding, so products in the next degree start small.
+
+    Given the tables keys ({key: key}) and values ({(e0, x): entry}, all at
+    width b), each key and entry is drawn from them: an equal key already
+    there is used, and so is the entry for the same (e0, x) unless its
+    bound is looser, in which case the new entry replaces it."""
     half, tight = 1 << (b - 1), 1 << (b // 2)
     out = {}
     for key, (e, x, n) in cells.items():
@@ -280,7 +285,15 @@ def freeze(cells, b) -> dict:
                 x >>= b * low
             if n >= tight:
                 n = sum(map(abs, _digits(x, b)))
-            out[key] = (e, x, n)
+            entry = (e, x, n)
+            if values is not None:
+                key = keys.setdefault(key, key)
+                held = values.get((e, x))
+                if held is not None and held[2] <= n:
+                    entry = held
+                else:
+                    values[e, x] = entry
+            out[key] = entry
     return out
 
 

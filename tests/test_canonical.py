@@ -204,6 +204,25 @@ class TestSolverProperties:
         assert CanonicalBasis(h, fast=False).matrix(m) == M
 
 
+def stored_columns(solver):
+    """Every column a solver holds, the vacuum's degree 0 left out."""
+    return [col for m, M in solver._matrices.items() if m
+            for col in M.columns.values()]
+
+
+def assert_shared(columns, b):
+    """Equal labels are one object, equal entries are one object, and
+    every entry's bound is at least its exact l1 norm at width b."""
+    labels, entries = {}, {}
+    for col in columns:
+        assert col.bits == b
+        for lam, c in col.packed.items():
+            assert labels.setdefault(lam, lam) is lam, lam
+            assert entries.setdefault(c, c) is c, (lam, c)
+            l1 = sum(map(abs, laurent.unpack(c, b).coeffs().values()))
+            assert c[2] >= l1, (lam, c, l1)
+
+
 class TestPackedBound:
     """The solver's digit bound, at digit widths narrow enough to reach it."""
 
@@ -241,6 +260,27 @@ class TestPackedBound:
         narrow = CanonicalBasis(3)
         assert [narrow.matrix(m) for m in range(23)] == want
         assert narrow._bits == 16
+
+    def test_stored_labels_and_entries_are_shared(self):
+        solver = CanonicalBasis(3)
+        solver.matrix(20)
+        assert_shared(stored_columns(solver), 32)
+
+    def test_widening_forgets_the_shared_entries(self, monkeypatch):
+        # an (e0, x) read at 4-bit digits is another polynomial at 8 bits,
+        # so no entry stored before the restart may be drawn on after it;
+        # degree 0 is left out: its UNIT is one object at every width
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
+        solver = CanonicalBasis(3)
+        solver.matrix(9)
+        before = [c for col in stored_columns(solver)
+                  for c in col.packed.values()]
+        solver.matrix(20)
+        assert solver._bits == 8
+        held = set(map(id, before))
+        assert not [c for col in stored_columns(solver)
+                    for c in col.packed.values() if id(c) in held]
+        assert_shared(stored_columns(solver), 8)
 
     def test_columns_stay_packed(self):
         M = canonical_basis(3, 12)

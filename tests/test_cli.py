@@ -21,6 +21,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_same_text(got, want):
+    """got == want, else fail naming the first differing line: pytest's
+    own diff of two long documents takes minutes."""
+    if got != want:
+        a, b = got.splitlines(True), want.splitlines(True)
+        k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+                 min(len(a), len(b)))
+        pytest.fail(f"line {k + 1}: got {a[k:k + 1]}, want {b[k:k + 1]}",
+                    pytrace=False)
+
+
 class TestCrystalCommand:
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "crystal", "--n", "1", "--max-degree", "7",
@@ -399,7 +410,7 @@ class TestJsonLayout:
     def test_matches_to_json(self, capsys, argv, build):
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        assert out == json.dumps(build(), indent=2) + "\n"
+        assert_same_text(out, json.dumps(build(), indent=2) + "\n")
 
     @pytest.mark.parametrize("argv", [
         ("ladders", "--n", "1", "--partition", "3321", "--format", "json"),
@@ -408,4 +419,4 @@ class TestJsonLayout:
     def test_matches_parsed_output(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n")
