@@ -47,7 +47,7 @@ def a_vector(h: int, mu) -> FockVector:
 
 
 _P6, _P10 = "\n" + " " * 6, "\n" + " " * 10
-_COLUMN = ('\n    {%s"label": %%s,%s"bottom": %%s,%s"entries": %%s\n    }'
+_COLUMN = ('{%s"label": %%s,%s"bottom": %%s,%s"entries": %%s\n    }'
            % ((_P6,) * 3))
 _ENTRY = '{%s"row": %%s,%s"poly": %%s\n        }' % ((_P10,) * 2)
 
@@ -117,13 +117,13 @@ class BasisMatrix:
         return {"h": self.h, "m": self.m, "columns": columns}
 
     def json_chunks(self):
-        """json.dumps(self.to_json(), indent=2) + "\\n", one string per
-        column, from the packed digits (laurent.packed_terms, so guarded);
-        each row label and each packed entry at one width is rendered once
-        per call."""
+        """json.dumps(self.to_json(), indent=2) + "\\n" in pieces, one per
+        column (pt.json_document), from the packed digits
+        (laurent.packed_terms, so guarded); each row label and each packed
+        entry at one width is rendered once per call."""
         rows, polys_at = {}, {}
-        sep = '{\n  "h": %d,\n  "m": %d,\n  "columns": [' % (self.h, self.m)
-        for mu in self.labels:
+
+        def column(mu):
             col = self.columns[mu]
             polys = polys_at.setdefault(col.bits, {})
             terms = sorted(col.packed.items(), reverse=True)    # bottom first
@@ -138,11 +138,12 @@ class BasisMatrix:
                         ['"%d": %d' % t
                          for t in packed_terms(c, col.bits, lam)], _P10, "{}")
                 entries.append(_ENTRY % (row, poly))
-            yield sep + _COLUMN % (json_block(map(str, mu), _P6),
-                                   json_block(map(str, terms[0][0]), _P6),
-                                   json_block(entries, _P6))
-            sep = ","
-        yield ("\n  ]" if self.labels else sep + "]") + "\n}\n"
+            return _COLUMN % (json_block(map(str, mu), _P6),
+                              json_block(map(str, terms[0][0]), _P6),
+                              json_block(entries, _P6))
+
+        return pt.json_document({"h": str(self.h), "m": str(self.m),
+                                 "columns": map(column, self.labels)})
 
     def render_table(self) -> str:
         """Aligned text table: rows DP_h(m), columns DPR_h(m), decreasing lex."""

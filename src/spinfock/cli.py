@@ -9,9 +9,9 @@ usage error (a ValueError), 3 internal error (a broken engine invariant),
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_str
 
 from . import partitions as pt
 from . import crystal
@@ -41,48 +41,19 @@ def _modulus(args) -> int:
     return h
 
 
-_STREAMED_LEVELS = 2    # containers this near the root are written in pieces
-
-
-def _json_text(obj, pad):
-    """json.dumps(obj, indent=2) for a value on a line opened by `pad`."""
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _json_str(obj)
-    ipad = pad + "  "
-    if isinstance(obj, list):
-        body = [_json_text(v, ipad) for v in obj]
-        return "[" + ipad + ("," + ipad).join(body) + pad + "]" if body else "[]"
-    if isinstance(obj, dict):
-        body = [_json_str(k) + ": " + _json_text(v, ipad)
-                for k, v in obj.items()]
-        return "{" + ipad + ("," + ipad).join(body) + pad + "}" if body else "{}"
-    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-
-
-def _write_json(obj, pad, levels):
-    """Write _json_text(obj, pad), the outer `levels` containers in pieces."""
-    if not levels or not obj or not isinstance(obj, (list, dict)):
-        return sys.stdout.write(_json_text(obj, pad))
-    is_dict = isinstance(obj, dict)
-    ipad = pad + "  "
-    sep = "{" if is_dict else "["
-    for k, v in obj.items() if is_dict else enumerate(obj):
-        sys.stdout.write(sep + ipad + (_json_str(k) + ": " if is_dict else ""))
-        _write_json(v, ipad, levels - 1)
-        sep = ","
-    sys.stdout.write(pad + ("}" if is_dict else "]"))
+def _write(chunks):
+    for chunk in chunks:
+        sys.stdout.write(chunk)
 
 
 def _emit_json(obj):
-    """Print json.dumps(obj, indent=2) for a tree of str-keyed dicts, lists,
-    str, int, bool and None; anything else raises TypeError (for a key, in
-    _json_str)."""
-    _write_json(obj, "\n", _STREAMED_LEVELS)
-    sys.stdout.write("\n")
+    """Print json.dumps(obj, indent=2) for a dict with str keys, one piece
+    per item of each of its lists (pt.json_document)."""
+    def text(v, pad):
+        return json.dumps(v, indent=2).replace("\n", pad)
+    _write(pt.json_document({
+        k: (text(v, "\n    ") for v in val) if isinstance(val, list)
+        else text(val, "\n  ") for k, val in obj.items()}))
 
 
 def _emit_matrix(M, fmt) -> int:
@@ -92,8 +63,7 @@ def _emit_matrix(M, fmt) -> int:
     elif fmt == "csv":
         sys.stdout.write(M.to_csv())
     elif isinstance(M, BasisMatrix):
-        for chunk in M.json_chunks():
-            sys.stdout.write(chunk)
+        _write(M.json_chunks())
     else:
         _emit_json(M.to_json())
     return 0
@@ -106,8 +76,7 @@ def cmd_crystal(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
     else:
-        for chunk in graph.json_chunks():
-            sys.stdout.write(chunk)
+        _write(graph.json_chunks())
     return 0
 
 

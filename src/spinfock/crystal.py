@@ -96,7 +96,7 @@ def etilde(h: int, i: int, lam):
 
 
 _P4, _P6 = "\n" + " " * 4, "\n" + " " * 6
-_EDGE = '\n    {%s"from": %%s,%s"color": %%d,%s"to": %%s\n    }' % ((_P6,) * 3)
+_EDGE = '{%s"from": %%s,%s"color": %%d,%s"to": %%s\n    }' % ((_P6,) * 3)
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,9 @@ class CrystalGraph:
         }
 
     def json_chunks(self):
-        """json.dumps(self.to_json(), indent=2) + "\\n", one string per
-        vertex and per edge; each edge end's label is rendered once per call."""
+        """json.dumps(self.to_json(), indent=2) + "\\n" in pieces, one per
+        vertex and per edge (pt.json_document); each edge end's label is
+        rendered once per call."""
         ends = {}
 
         def end(v):
@@ -139,16 +140,11 @@ class CrystalGraph:
                 text = ends[v] = pt.json_block(map(str, v), _P6)
             return text
 
-        sep = '{\n  "h": %d,\n  "max_degree": %d,\n  "vertices": [' % (
-            self.h, self.max_degree)
-        for v in self.vertices:
-            yield sep + _P4 + pt.json_block(map(str, v), _P4)
-            sep = ","
-        sep = ("\n  ]" if self.vertices else sep + "]") + ',\n  "edges": ['
-        for a, i, b in self.edges:
-            yield sep + _EDGE % (end(a), i, end(b))
-            sep = ","
-        yield ("\n  ]" if self.edges else sep + "]") + "\n}\n"
+        return pt.json_document({
+            "h": str(self.h), "max_degree": str(self.max_degree),
+            "vertices": (pt.json_block(map(str, v), _P4)
+                         for v in self.vertices),
+            "edges": (_EDGE % (end(a), i, end(b)) for a, i, b in self.edges)})
 
     def to_dot(self) -> str:
         def name(v):

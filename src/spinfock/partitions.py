@@ -241,20 +241,23 @@ def shift_by_multiple(h: int, lam, mu) -> tuple:
 
 
 def parse_partition(text: str) -> tuple:
-    """Parse '5,4,1' or compact single-digit '541'; '', '()' and '0' mean ().
+    """Parse the printed '(5 4 1)', '5,4,1' or compact single-digit '541';
+    '', '()' and '0' mean ().
 
-    A zero part in comma form, as in '3,0', raises ValueError."""
+    A zero part in printed or comma form, as in '3,0', raises ValueError."""
     s = text.strip()
     if s in ("", "()", "0"):
         return ()
-    comma = "," in s
+    printed = s[0] + s[-1] == "()"
+    listed = printed or "," in s
     try:
-        parts = tuple(int(x) for x in (s.split(",") if comma else s))
+        parts = tuple(int(x) for x in (s[1:-1].split() if printed else
+                                       s.split(",") if listed else s))
     except ValueError:
-        raise ValueError(f"cannot read {text!r} as a partition: give "
-                         "comma-separated parts (11,7,7,4) or single "
-                         "digits (3321)") from None
-    if comma:
+        raise ValueError(f"cannot read {text!r} as a partition: give the "
+                         "printed form (11 7 7 4), comma-separated parts "
+                         "(11,7,7,4) or single digits (3321)") from None
+    if listed:
         if 0 in parts:
             raise ValueError(f"{text!r} has a zero part")
         return check_partition(parts)
@@ -275,3 +278,25 @@ def json_block(items, pad, brackets="[]") -> str:
     if not body:
         return brackets
     return brackets[0] + ipad[1:] + body + pad + brackets[1]
+
+
+def json_document(fields):
+    """json.dumps(fields, indent=2) + "\\n" in pieces, from text: a str value
+    is JSON already, any other an iterable of list item texts at indent 4,
+    each item its own piece.  Nothing is yielded before the first item is
+    rendered, so a writer that fails on it prints nothing."""
+    from json import dumps      # the CLI has loaded it
+    text, sep = "", "{"         # text waits for the next item or the end
+    for key, value in fields.items():
+        text += sep + "\n  " + dumps(key) + ": "
+        sep = ","
+        if isinstance(value, str):
+            text += value
+            continue
+        opener = "["
+        for item in value:
+            yield text + opener + "\n    "
+            yield item
+            text, opener = "", ","
+        text += "[]" if opener == "[" else "\n  ]"
+    yield text + ("\n}\n" if sep == "," else "{}\n")

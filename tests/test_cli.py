@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from spinfock import crystal, modular
 from spinfock.canonical import CanonicalBasis
 from spinfock.cli import _emit_json, main
+from spinfock.partitions import json_document
 from spinfock.verify import run_suite
 
 
@@ -57,6 +58,11 @@ class TestCrystalCommand:
         obj = json.loads(out)
         assert [3] in obj["vertices"]
         assert [] not in obj["vertices"]
+
+    def test_printed_start(self, capsys):
+        outs = {run(capsys, "crystal", "--n", "1", "--start", start,
+                    "--max-degree", "20") for start in ("(6 3)", "6,3")}
+        assert len(outs) == 1 and next(iter(outs))[0] == 0
 
     def test_degree_zero(self, capsys):
         code, out, _ = run(capsys, "crystal", "--n", "2", "--max-degree", "0",
@@ -178,6 +184,10 @@ class TestLaddersCommand:
         code, out, _ = run(capsys, "ladders", "--n", "1", "--partition", "3321")
         assert code == 0
         assert "monomial: f_1 f_0 f_1^(2) f_0 f_1^(2) f_0 f_1 |0>" in out
+
+    def test_printed_partition(self, capsys):
+        assert (run(capsys, "ladders", "--n", "1", "--partition", "(3 3 2 1)")
+                == run(capsys, "ladders", "--n", "1", "--partition", "3321"))
 
     def test_invalid_partition(self, capsys):
         code, _, err = run(capsys, "ladders", "--n", "1", "--partition", "2,2")
@@ -333,10 +343,19 @@ class TestClosedPipe:
         (3, 0),         # closed before the one buffered write is flushed
     ])
     def test_quiet_exit_141(self, m, lines):
+        self.check_closed_after(lines, "canonical", "--n", "1", "--m", str(m),
+                                "--format", "json")
+
+    def test_generic_writer_quiet_exit_141(self):
+        # about 700 KB through _emit_json, closed like `| head -2`
+        self.check_closed_after(2, "decomp", "--p", "3", "--m", "25",
+                                "--format", "json")
+
+    @staticmethod
+    def check_closed_after(lines, *argv):
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "spinfock.cli", "canonical", "--n", "1",
-             "--m", str(m), "--format", "json"],
+            [sys.executable, "-m", "spinfock.cli", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(src)})
         for _ in range(lines):
@@ -376,18 +395,37 @@ def emitted(obj):
 
 
 class TestJsonWriter:
-    @given(JSON_TREES)
-    @example([[], {}, [[]], {"a": {}}, [{"": []}]])
+    @given(st.dictionaries(st.text(max_size=5) | TRICKY_TEXT, JSON_TREES,
+                           max_size=4))
+    @example({})
+    @example({"a": [], "b": {}, "c": [[]], "d": {"a": {}}, "e": [{"": []}]})
     @example({"n": [-1, 0, 10**30, True, False, None], 'k"\\\n': "\x01é"})
     def test_matches_json_dumps_indent_2(self, obj):
         assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
 
-    @pytest.mark.parametrize("obj", [
-        (1, 2), 1.5, {1: "int key"}, {"deep": [[{"a": (1,)}]]},
-    ])
-    def test_rejects_types_outside_its_domain(self, obj):
-        with pytest.raises(TypeError):
-            emitted(obj)
+
+class TestJsonDocument:
+    """partitions.json_document, the one framing of every JSON document."""
+
+    def test_empty_list(self):
+        assert "".join(json_document({"a": iter(()), "b": "1"})) == (
+            '{\n  "a": [],\n  "b": 1\n}\n')
+
+    def test_streams_one_item_per_piece(self):
+        words = ["x" * k for k in (40, 3, 90, 25)]
+        items = (json.dumps(w) for w in words)
+        pieces = list(json_document({"h": "3", "columns": items}))
+        assert "".join(pieces) == json.dumps(
+            {"h": 3, "columns": words}, indent=2) + "\n"
+        assert max(map(len, pieces)) == len(json.dumps(words[2]))
+
+    def test_nothing_before_the_first_item(self):
+        def failing():
+            raise ZeroDivisionError
+            yield
+
+        with pytest.raises(ZeroDivisionError):
+            next(json_document({"h": "3", "columns": failing()}))
 
 
 class TestJsonLayout:
@@ -406,6 +444,10 @@ class TestJsonLayout:
          lambda: crystal.component(5, (5,), 20).to_json()),
         (("crystal", "--n", "3", "--max-degree", "16"),
          lambda: crystal.component(7, (), 16).to_json()),
+        (("canonical", "--n", "1", "--m", "0"),                 # one column
+         lambda: CanonicalBasis(3).matrix(0).to_json()),
+        (("decomp", "--p", "3", "--m", "0"),
+         lambda: modular.reduced_matrix(3, 0).to_json()),
     ])
     def test_matches_to_json(self, capsys, argv, build):
         code, out, _ = run(capsys, *argv, "--format", "json")
@@ -415,6 +457,7 @@ class TestJsonLayout:
     @pytest.mark.parametrize("argv", [
         ("ladders", "--n", "1", "--partition", "3321", "--format", "json"),
         ("verify", "--suite", "paper"),
+        ("verify", "--suite", "properties"),        # nested `exports` dict
     ])
     def test_matches_parsed_output(self, capsys, argv):
         code, out, _ = run(capsys, *argv)

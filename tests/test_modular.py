@@ -129,6 +129,21 @@ class TestExternalReduction:
         assert (modular.reduce_external_matrix(fx.DECOMP_S10_P3_CSV, 3)
                 == fx.reduced_matrix_3_10())
 
+    def test_printed_labels(self):
+        # the same fixture with every label as the CLI prints it, (5 4 1)
+        def printed(cell):
+            lam = pt.parse_partition(cell.rstrip("'"))
+            return pt.format_partition(lam) + "'" * cell.endswith("'")
+
+        head, *rows = fx.DECOMP_S10_P3_CSV.splitlines()
+        text = ",".join([""] + [printed(c) for c in head.split(",")[1:]])
+        for row in rows:
+            label, rest = row.split(",", 1)
+            text += "\n" + printed(label) + "," + rest
+        assert "(5 4 1)'" in text
+        assert (modular.reduce_external_matrix(text, 3)
+                == modular.reduce_external_matrix(fx.DECOMP_S10_P3_CSV, 3))
+
     def test_fixture_shape(self):
         # 15 raw rows and 7 raw columns merge to the 10 strict partitions
         # of 10 and the 4 labels of DPR_3(10)

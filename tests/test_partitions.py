@@ -311,20 +311,23 @@ class TestParsing:
         with pytest.raises(ValueError, match=r"decreasing: \(1, 2\)$"):
             pt.parse_partition("1,2")
 
-    @pytest.mark.parametrize("text", ["1 2", "3a", "1,a", "1,,2", "-"])
+    @pytest.mark.parametrize("text", ["1 2", "3a", "1,a", "1,,2", "-",
+                                      "(5,2)", "(5 2", "5 2)", "(a)"])
     def test_non_digit_text_names_text_and_forms(self, text):
         with pytest.raises(ValueError) as exc:
             pt.parse_partition(text)
         assert str(exc.value) == (
-            f"cannot read {text!r} as a partition: give comma-separated "
-            "parts (11,7,7,4) or single digits (3321)")
+            f"cannot read {text!r} as a partition: give the printed form "
+            "(11 7 7 4), comma-separated parts (11,7,7,4) or single digits "
+            "(3321)")
 
     def test_empty(self):
         assert pt.parse_partition("") == ()
         assert pt.parse_partition("()") == ()
         assert pt.parse_partition("0") == ()
 
-    @pytest.mark.parametrize("text", ["3,0", "3,3,0", "0,0", "3,0,1"])
+    @pytest.mark.parametrize("text", ["3,0", "3,3,0", "0,0", "3,0,1",
+                                      "(3 0)", "(0)"])
     def test_zero_part_in_comma_form_refused(self, text):
         with pytest.raises(ValueError) as exc:
             pt.parse_partition(text)
@@ -337,3 +340,14 @@ class TestParsing:
     def test_format(self):
         assert pt.format_partition((5, 4, 1)) == "(5 4 1)"
         assert pt.format_partition(()) == "()"
+
+    def test_printed_form(self):
+        assert [pt.parse_partition(t) for t in ("(5 2)", "(12)", "()",
+                                                " ( 5  2 ) ")] == [
+            (5, 2), (12,), (), (5, 2)]
+
+    @pytest.mark.parametrize("h", [3, 5])
+    def test_printed_labels_read_back(self, h):
+        for m in range(15):
+            for lam in pt.enumerate_dp_h(h, m):
+                assert pt.parse_partition(pt.format_partition(lam)) == lam
