@@ -121,7 +121,8 @@ class BasisMatrix:
         column (pt.json_document), from the packed digits
         (laurent.packed_terms, so guarded); each row label and each packed
         entry at one width is rendered once per call."""
-        rows, polys_at = {}, {}
+        rows = {}  # not functools.cache: its 1-tuple keys cost RSS at the write
+        polys_at = {}  # per width; an entry's first render names its row
 
         def column(mu):
             col = self.columns[mu]
@@ -194,6 +195,7 @@ class CanonicalBasis:
         return self._matrices[m]
 
     def _residue_content(self, lam) -> tuple:
+        # a dict, not functools.cache: its 1-tuple keys cost peak RSS
         content = self._contents.get(lam)
         if content is None:
             content = self._contents[lam] = pt.residue_content(self.h, lam)
@@ -202,24 +204,18 @@ class CanonicalBasis:
     def _intermediate(self, mu, memo) -> dict:
         """A(mu) as a fresh dict of cells at the solver's width.
 
-        The fast route applies the outer ladder's f_res^(cnt) to the column
-        of the stripped label, each f_res^(cnt)|lam> read from or stored in
-        `memo`; the slow route never reads `memo`.
+        The fast route applies the outer ladder's f_res^(cnt) to the stored
+        column of the stripped label, each f_res^(cnt)|lam> read from
+        memo(res, cnt, lam); the slow route never calls `memo`.
         """
         b = self._bits
         if not self.fast:
             return {lam: list(pack(c, b))
                     for lam, c in a_vector(self.h, mu).terms()}
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
-        n = pt.rank(self.h)
         cells = {}
-        for lam, c in self.column(nu).packed.items():
-            key = (res, cnt, lam)
-            image = memo.get(key)
-            if image is None:
-                image = memo[key] = _f_divided(self.h, res, n, cnt,
-                                               {lam: UNIT}, b).items()
-            add_scaled(cells, c, image, b)
+        for lam, c in self._matrices[sum(nu)].columns[nu].packed.items():
+            add_scaled(cells, c, memo(res, cnt, lam), b)
         return cells
 
     def _solve_degree(self, m: int) -> BasisMatrix:
@@ -227,8 +223,12 @@ class CanonicalBasis:
         reaches the digits' reach raises CoefficientBoundError (matrix
         then widens)."""
         labels = tuple(pt.enumerate_dpr_h(self.h, m))
-        b = self._bits
-        memo = {}               # one degree's: no key recurs in another
+        h, n, b = self.h, pt.rank(self.h), self._bits
+
+        @functools.cache        # one degree's: no key recurs in another
+        def memo(res, cnt, lam):
+            return _f_divided(h, res, n, cnt, {lam: UNIT}, b).items()
+
         blocks = {}                             # content -> labels done
         done = {}
         for mu in labels:                       # decreasing lex

@@ -32,7 +32,7 @@ def _walk(h, i, start, step):
     return count
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _letter_stats(h, i):
     """Per residue j mod h: (eps, phi) of a letter j for color i."""
     return tuple((_walk(h, i, j - 1, -1), _walk(h, i, j, 1)) for j in range(h))
@@ -132,14 +132,7 @@ class CrystalGraph:
         """json.dumps(self.to_json(), indent=2) + "\\n" in pieces, one per
         vertex and per edge (pt.json_document); each edge end's label is
         rendered once per call."""
-        ends = {}
-
-        def end(v):
-            text = ends.get(v)
-            if text is None:
-                text = ends[v] = pt.json_block(map(str, v), _P6)
-            return text
-
+        end = functools.cache(lambda v: pt.json_block(map(str, v), _P6))
         return pt.json_document({
             "h": str(self.h), "max_degree": str(self.max_degree),
             "vertices": (pt.json_block(map(str, v), _P4)

@@ -227,7 +227,7 @@ def _raised(h, lam, k):
     return lam[:p] + (j + 1,) + lam[p:k] + lam[k + 1:], k - p
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _color_tables(h, i):
     """Per residue j mod h: does f_i raise a letter j, and the exponent of
     q by which t_i scales it (its i-arrows out minus in, times 4 at node 0,
@@ -281,7 +281,7 @@ def _e_raw(h, i, n, terms, b) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _packed_factorial(k, i, n, b):
     """pack([k]_i!) at digit width b; its bound is its exact l1 norm."""
     return pack(q_factorial(k, i, n), b)

@@ -117,7 +117,7 @@ def enumerate_dpr_h(h: int, m: int) -> list:
     return [lam for lam in enumerate_dp_h(h, m) if in_dpr_h(h, lam)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def residue(h: int, column: int) -> int:
     """Color i in 0..n of a column or letter: column = n+i or n-i mod h.
 

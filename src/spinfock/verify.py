@@ -10,6 +10,7 @@ the acceptance tests run them at full depth.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,13 +217,10 @@ def shift_equivariance_holds(h: int, max_m: int) -> CheckResult:
 
 def _random_generator_words(rng, count):
     """Unstraightened words as produced inside the generator actions."""
-    words, pools = [], {}
+    words, pools = [], functools.cache(pt.enumerate_dp_h)
     while len(words) < count:
         h = rng.choice((3, 5, 7))
-        m = rng.randrange(1, 13)
-        pool = pools.get((h, m))
-        if pool is None:
-            pool = pools[h, m] = pt.enumerate_dp_h(h, m)
+        pool = pools(h, rng.randrange(1, 13))
         lam = pool[rng.randrange(len(pool))]
         k = rng.randrange(len(lam))
         delta = rng.choice((1, -1))

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinfock import laurent
+from spinfock import canonical, laurent
 from spinfock.laurent import CoefficientBoundError, LaurentPoly, ONE, pack
 from spinfock.fock import FockVector, PackedVector
 from spinfock import partitions as pt
@@ -172,6 +172,31 @@ class TestFastSlow:
         slow = CanonicalBasis(h, fast=False)
         for m in range(0, 23 if h == 3 else 21):
             assert fast.matrix(m) == slow.matrix(m)
+
+
+class TestDividedPowerMemo:
+    @pytest.mark.parametrize("h, top", [(3, 20), (5, 16)])
+    def test_each_distinct_image_computed_once_per_degree(self, monkeypatch,
+                                                          h, top):
+        # the per-degree memo looks _f_divided up when it misses, so every
+        # call counted here is one computed image f_res^(cnt)|lam>
+        calls, f_divided = [], canonical._f_divided
+
+        def counting(*args):
+            calls.append(args)
+            return f_divided(*args)
+
+        monkeypatch.setattr(canonical, "_f_divided", counting)
+        solver = CanonicalBasis(h)
+        for m in range(1, top + 1):
+            del calls[:]
+            solver.matrix(m)
+            read = set()
+            for mu in pt.enumerate_dpr_h(h, m):
+                nu, res, cnt = pt.remove_outer_ladder(h, mu)
+                read.update((res, cnt, lam)
+                            for lam in solver.column(nu).support())
+            assert len(calls) == len(read), m
 
 
 def _dominates(lam, mu):

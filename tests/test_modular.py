@@ -12,6 +12,7 @@ from spinfock import modular
 from spinfock import verify
 from spinfock.canonical import CanonicalBasis, canonical_basis
 from spinfock.fock import FockVector, apply_f, apply_e
+from conftest import oracle_hbar_core
 
 
 class TestGhostsAndSigns:
@@ -122,6 +123,29 @@ class TestReducedMatrix:
         text = modular.reduced_matrix(3, 10).render_table()
         assert "<10>" in text
         assert "(3 3 3 1)" in text
+
+
+class TestBlockTheorem:
+    """The q = 1 columns against the spin block theorem (Morris's
+    conjecture, proved by Humphreys): characters <lam> share a p-block
+    exactly when their p-bar cores agree, and a label that is its own bar
+    core heads a block of defect zero."""
+
+    @pytest.mark.parametrize("p, defect_zero", [(3, 8), (5, 31), (7, 83)])
+    def test_columns_stay_in_their_bar_core_block(self, p, defect_zero):
+        solver = CanonicalBasis(p)
+        found = 0
+        for m in range(25):
+            R = modular.reduced_matrix(p, m, solver)
+            for mu in R.labels:
+                core = oracle_hbar_core(p, mu)
+                col = R.columns[mu]
+                for lam in col:
+                    assert oracle_hbar_core(p, lam) == core, (p, mu, lam)
+                if core == mu:                  # weight 0: defect zero
+                    assert col == {mu: 1}, (p, mu, col)
+                    found += 1
+        assert found == defect_zero             # the empty label included
 
 
 class TestExternalReduction:
