@@ -68,9 +68,11 @@ class ReducedMatrix:
         return self.columns[tuple(mu)].get(tuple(lam), 0)
 
     def negative_entries(self) -> list:
-        """Witnesses against the projective-character interpretation."""
+        """Witnesses against the projective-character interpretation, in
+        printed order: columns as labelled, rows in decreasing lex."""
         return [(lam, mu) for mu in self.labels
-                for lam, v in self.columns[mu].items() if v < 0]
+                for lam in sorted((lam for lam, v in self.columns[mu].items()
+                                   if v < 0), reverse=True)]
 
     def to_json(self) -> dict:
         return {

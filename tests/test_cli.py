@@ -120,11 +120,13 @@ class TestCanonicalCommand:
              "entries": [{"row": [], "poly": {"0": 1}}]}]
 
     def test_slow_flag_agrees(self, capsys):
-        code, fast_out, _ = run(capsys, "canonical", "--n", "1", "--m", "9")
-        code2, slow_out, _ = run(capsys, "canonical", "--n", "1", "--m", "9",
-                                 "--slow")
-        assert code == code2 == 0
-        assert fast_out == slow_out
+        for argv in [("canonical", "--n", "1", "--m", "9"),
+                     ("canonical", "--n", "1", "--m", "16",
+                      "--format", "json")]:
+            code, fast_out, _ = run(capsys, *argv)
+            code2, slow_out, _ = run(capsys, *argv, "--slow")
+            assert code == code2 == 0
+            assert_same_text(slow_out, fast_out)
 
 
 class TestDecompCommand:
@@ -155,7 +157,10 @@ class TestDecompCommand:
                 "column (5 5 4 3 2 1)"),
         (3, 27, "3 negative entries at p=3 m=27; first at row "
                 "(8 6 5 4 3 1), column (6 6 5 4 3 2 1)"),
-        (3, 10, None)], ids=["p5-m20", "p3-m27", "p3-m10"])
+        (3, 10, None),
+        (5, 24, "2 negative entries at p=5 m=24; first at row "
+                "(14 4 3 2 1), column (5 5 5 5 4)")],
+        ids=["p5-m20", "p3-m27", "p3-m10", "p5-m24"])
     def test_negative_entries_noted_on_stderr(self, capsys, p, m, note):
         R = modular.reduced_matrix(p, m)
         for fmt, want in [("table", R.render_table()), ("csv", R.to_csv()),
@@ -309,12 +314,20 @@ class TestInternalErrors:
                                                    monkeypatch):
         from spinfock import laurent
         # 4-bit digits overflow at h=3 m=10 and 8-bit ones at m=21: the
-        # solver widens to 16 bits and prints what 32-bit digits print
-        argv = ("canonical", "--n", "1", "--m", "21", "--format", "json")
-        code, want, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
+        # solver widens to 16 bits and prints what 32-bit digits print.
+        # At h=5 they overflow at m=16 and m=31, so each width's shared
+        # entry tables are forgotten twice.  At h=7 4-bit digits overflow at
+        # m=22, so the content memo outlives a restart and each degree's
+        # divided-power memo is new
+        argvs = [("canonical", "--n", n, "--m", m, "--format", "json")
+                 for n, m in [("1", "21"), ("2", "31"), ("3", "24")]]
+        wants = [run(capsys, *argv) for argv in argvs]
+        assert [(code, err) for code, _, err in wants] == [(0, "")] * 3
         monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
-        assert run(capsys, *argv) == (0, want, "")
+        for argv, (_, want, _) in zip(argvs, wants):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert_same_text(out, want)
 
     def test_writer_bound_exit_code_3(self, capsys, monkeypatch):
         from spinfock import laurent
@@ -448,6 +461,8 @@ class TestJsonLayout:
          lambda: CanonicalBasis(3).matrix(0).to_json()),
         (("decomp", "--p", "3", "--m", "0"),
          lambda: modular.reduced_matrix(3, 0).to_json()),
+        (("crystal", "--n", "1", "--start", "0", "--max-degree", "30"),
+         lambda: crystal.component(3, (), 30).to_json()),   # 0 is empty
     ])
     def test_matches_to_json(self, capsys, argv, build):
         code, out, _ = run(capsys, *argv, "--format", "json")
@@ -458,6 +473,7 @@ class TestJsonLayout:
         ("ladders", "--n", "1", "--partition", "3321", "--format", "json"),
         ("verify", "--suite", "paper"),
         ("verify", "--suite", "properties"),        # nested `exports` dict
+        ("verify", "--suite", "all"),
     ])
     def test_matches_parsed_output(self, capsys, argv):
         code, out, _ = run(capsys, *argv)

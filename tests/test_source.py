@@ -19,12 +19,18 @@ PACKAGE = ROOT / "src" / "spinfock"
 
 
 def test_no_assert_in_package():
-    # `python -O` strips assert statements; invariants must raise instead
+    # `python -O` compiles code differently in two ways only: it strips
+    # assert statements and reads `__debug__` as False.  With neither in the
+    # package, -O compiles it to the bytecode a plain run compiles, so no
+    # -O run needs comparing with a plain one; invariants raise instead
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{k}: __debug__" for k, line
+                  in enumerate(text.splitlines(), 1) if "__debug__" in line]
     assert PACKAGE.is_dir()
     assert not found
 
