@@ -105,7 +105,7 @@ class BasisMatrix:
 
     def bottom_label(self, mu) -> tuple:
         """Lex-greatest support row of a column (its lowest printed entry)."""
-        return max(self.columns[tuple(mu)].support())
+        return self.columns[tuple(mu)].rows[0]
 
     def to_json(self) -> dict:
         columns = []
@@ -119,17 +119,15 @@ class BasisMatrix:
     def json_chunks(self):
         """json.dumps(self.to_json(), indent=2) + "\\n" in pieces, one per
         column (pt.json_document), from the packed digits
-        (laurent.packed_terms, so guarded); each row label and each packed
-        entry at one width is rendered once per call."""
+        (laurent.packed_terms, so guarded); each row label is rendered once
+        per call, and each packed entry once per column."""
         rows = {}  # not functools.cache: its 1-tuple keys cost RSS at the write
-        polys_at = {}  # per width; an entry's first render names its row
 
         def column(mu):
             col = self.columns[mu]
-            polys = polys_at.setdefault(col.bits, {})
-            terms = sorted(col.packed.items(), reverse=True)    # bottom first
+            polys = {}      # per column: an entry's first render names its row
             entries = []
-            for lam, c in terms:
+            for lam, c in zip(col.rows, col.entries):       # bottom first
                 row = rows.get(lam)
                 if row is None:
                     row = rows[lam] = json_block(map(str, lam), _P10)
@@ -140,7 +138,7 @@ class BasisMatrix:
                          for t in packed_terms(c, col.bits, lam)], _P10, "{}")
                 entries.append(_ENTRY % (row, poly))
             return _COLUMN % (json_block(map(str, mu), _P6),
-                              json_block(map(str, terms[0][0]), _P6),
+                              json_block(map(str, col.rows[0]), _P6),
                               json_block(entries, _P6))
 
         return pt.json_document({"h": str(self.h), "m": str(self.m),
@@ -185,7 +183,7 @@ class CanonicalBasis:
 
     def matrix(self, m: int) -> BasisMatrix:
         if m < 0:
-            raise ValueError("degree must be nonnegative")
+            raise ValueError(f"degree must be nonnegative, got {m}")
         while m not in self._matrices:
             try:
                 for d in range(len(self._matrices), m + 1):
@@ -214,7 +212,8 @@ class CanonicalBasis:
                     for lam, c in a_vector(self.h, mu).terms()}
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
         cells = {}
-        for lam, c in self._matrices[sum(nu)].columns[nu].packed.items():
+        col = self._matrices[sum(nu)].columns[nu]
+        for lam, c in zip(col.rows, col.entries):
             add_scaled(cells, c, memo(res, cnt, lam), b)
         return cells
 
@@ -240,7 +239,7 @@ class CanonicalBasis:
                     gamma = symmetrize_tail(unpack(cells[s], b, s))
                     if gamma:
                         add_scaled(cells, pack(-gamma, b),
-                                   done[s].packed.items(), b)
+                                   zip(done[s].rows, done[s].entries), b)
             vec = PackedVector(freeze(cells, b, self._keys, self._values), b)
             self._validate_column(mu, vec, m)
             block.append(mu)

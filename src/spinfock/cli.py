@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crystal", help="emit a crystal graph component")
     _add_modulus_args(p)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--start", type=str, default="",
-                   help="start vertex, e.g. 3 or 11,7,7,4 (default: empty)")
+    p.add_argument("--start", type=str, default="", help="start vertex, "
+                   "e.g. 3, 11,7,7,4 or (11 7 7 4) (default: empty)")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.set_defaults(func=cmd_crystal)
 

@@ -11,6 +11,7 @@ UncoveredDisorderError where no rule applies.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 
 from .laurent import (CoefficientBoundError, LaurentPoly, ONE, ZERO,
                       _accumulate, _add_cell, exact_quotient, freeze, pack,
@@ -118,31 +119,51 @@ class FockVector:
 
 
 class PackedVector(FockVector):
-    """A FockVector kept as normalized {label: (e0, x, n)} at digit width
-    `bits`, as the solver's columns are; every read decodes on demand."""
+    """A FockVector kept as a solver's column: `rows` in decreasing lex and
+    their normalized (e0, x, n) `entries` at digit width `bits`, sorted
+    once from the {label: entry} map it is made from."""
 
-    __slots__ = ("packed", "bits")
+    __slots__ = ("rows", "entries", "bits")
 
     def __init__(self, packed, bits):
-        self.packed, self.bits = packed, bits
+        self.rows = tuple(sorted(packed, reverse=True))
+        self.entries = tuple(map(packed.__getitem__, self.rows))
+        self.bits = bits
 
     @property
     def _terms(self):
         b = self.bits
-        return {lam: unpack(c, b, lam) for lam, c in self.packed.items()}
+        return {lam: unpack(c, b, lam)
+                for lam, c in zip(self.rows, self.entries)}
 
     def coefficient(self, lam) -> LaurentPoly:
-        c = self.packed.get(tuple(lam))
-        return ZERO if c is None else unpack(c, self.bits, lam)
-
-    def support(self) -> list:
-        return sorted(self.packed, reverse=True)
+        lam, rows = tuple(lam), self.rows
+        k = bisect_left(rows, True, key=lam.__ge__)     # the first row <= lam
+        if k < len(rows) and rows[k] == lam:
+            return unpack(self.entries[k], self.bits, lam)
+        return ZERO
 
     def least_exponents(self):
-        return [(lam, c[0]) for lam, c in self.packed.items()]
+        return [(lam, c[0]) for lam, c in zip(self.rows, self.entries)]
+
+    def at_one(self) -> dict:
+        """{label: nonzero c(1)}.  x = sum_k c_k 2^(bk) is c(1) modulo the
+        odd 2^b - 1, and the bound n < 2^(b-1) (refused otherwise, as by
+        laurent.packed_terms) puts |c(1)| below half of it, so c(1) is the
+        balanced residue of x."""
+        b = self.bits
+        half, odd = 1 << (b - 1), (1 << b) - 1
+        out = {}
+        for lam, (_, x, n) in zip(self.rows, self.entries):
+            if n >= half:
+                raise CoefficientBoundError(n, lam, b)
+            v = x % odd
+            if v:
+                out[lam] = v - odd if v >= half else v
+        return out
 
     def __len__(self):
-        return len(self.packed)
+        return len(self.rows)
 
 
 def straighten(word, h, rng=None):

@@ -251,7 +251,7 @@ def odd_series_coefficients(p: int, max_m: int) -> list:
     """Coefficients of prod over odd i not divisible by p of 1/(1 - t^i)."""
     pt.check_h(p)
     if max_m < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ValueError(f"degree must be nonnegative, got {max_m}")
     coeffs = [0] * (max_m + 1)
     coeffs[0] = 1
     for i in range(1, max_m + 1, 2):

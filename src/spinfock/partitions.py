@@ -100,7 +100,7 @@ def _dp_h_gen(h, rem, bound):
 def enumerate_dp(m: int) -> list:
     """Strict partitions of m, decreasing lex: DP_(m+1), no part repeats."""
     if m < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ValueError(f"degree must be nonnegative, got {m}")
     return list(_dp_h_gen(m + 1, m, m))
 
 
@@ -108,7 +108,7 @@ def enumerate_dp_h(h: int, m: int) -> list:
     """Partitions of m with repeats only at multiples of h, decreasing lex."""
     check_h(h)
     if m < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ValueError(f"degree must be nonnegative, got {m}")
     return list(_dp_h_gen(h, m, m))
 
 

@@ -1,7 +1,8 @@
 import json
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinfock import canonical, laurent
 from spinfock.laurent import CoefficientBoundError, LaurentPoly, ONE, pack
@@ -241,7 +242,7 @@ def assert_shared(columns, b):
     labels, entries = {}, {}
     for col in columns:
         assert col.bits == b
-        for lam, c in col.packed.items():
+        for lam, c in zip(col.rows, col.entries):
             assert labels.setdefault(lam, lam) is lam, lam
             assert entries.setdefault(c, c) is c, (lam, c)
             l1 = sum(map(abs, laurent.unpack(c, b).coeffs().values()))
@@ -298,13 +299,12 @@ class TestPackedBound:
         monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
         solver = CanonicalBasis(3)
         solver.matrix(9)
-        before = [c for col in stored_columns(solver)
-                  for c in col.packed.values()]
+        before = [c for col in stored_columns(solver) for c in col.entries]
         solver.matrix(20)
         assert solver._bits == 8
         held = set(map(id, before))
         assert not [c for col in stored_columns(solver)
-                    for c in col.packed.values() if id(c) in held]
+                    for c in col.entries if id(c) in held]
         assert_shared(stored_columns(solver), 8)
 
     def test_columns_stay_packed(self):
@@ -314,6 +314,84 @@ class TestPackedBound:
         assert len(col) == len(dict(col.terms())) > 1
         for lam, e0 in col.least_exponents():
             assert e0 == min(col.coefficient(lam).coeffs()), lam
+
+
+def solved(monkeypatch, digit_bits, h, m):
+    """A solver at h through degree m, started at `digit_bits`-wide digits
+    (None: laurent.DIGIT_BITS as it stands)."""
+    if digit_bits:
+        monkeypatch.setattr(laurent, "DIGIT_BITS", digit_bits)
+    solver = CanonicalBasis(h)
+    solver.matrix(m)
+    return solver
+
+
+class TestColumnLayout:
+    """A stored column is two parallel tuples: rows in decreasing lex and
+    their packed entries."""
+
+    @pytest.mark.parametrize("digit_bits, bits", [(None, 32), (4, 8)],
+                             ids=["default", "restarted"])
+    def test_rows_and_entries(self, monkeypatch, digit_bits, bits):
+        # 4-bit digits overflow at m=10, so the solver is at 8 bits by m=20
+        solver = solved(monkeypatch, digit_bits, 3, 20)
+        assert solver._bits == bits
+        for m, M in solver._matrices.items():
+            for col in M.columns.values():
+                assert len(col.rows) == len(col.entries) == len(col) > 0
+                assert all(a > b for a, b in zip(col.rows, col.rows[1:]))
+                held = dict(zip(col.rows, col.entries))
+                assert held.keys() <= set(pt.enumerate_dp_h(3, m))
+                for lam in pt.enumerate_dp_h(3, m):
+                    c = held.get(lam)
+                    want = (laurent.ZERO if c is None
+                            else laurent.unpack(c, col.bits, lam))
+                    assert col.coefficient(list(lam)) == want, lam
+
+    @pytest.mark.parametrize("digit_bits, bits", [(None, 32), (4, 16)],
+                             ids=["default", "restarted"])
+    def test_at_one_is_the_digit_sum(self, monkeypatch, digit_bits, bits):
+        # 4-bit digits overflow at m=10 and 8-bit ones at m=21
+        solver = solved(monkeypatch, digit_bits, 3, 21)
+        assert solver._bits == bits
+        dropped = 0
+        for col in stored_columns(solver):
+            sums = {lam: laurent.unpack(c, col.bits, lam).at_one()
+                    for lam, c in zip(col.rows, col.entries)}
+            assert col.at_one() == {lam: v for lam, v in sums.items() if v}
+            dropped += list(sums.values()).count(0)
+        assert dropped          # zero values at q = 1 occur, and are dropped
+
+    @settings(deadline=None)
+    @given(st.sampled_from([4, 8, 16]),
+           st.dictionaries(st.integers(-3, 3), st.integers(-200, 200),
+                           max_size=4).map(LaurentPoly))
+    @example(8, LaurentPoly({0: 127}))
+    @example(8, LaurentPoly({-1: -64, 2: -63}))
+    def test_at_one_of_any_entry_below_the_bound(self, b, p):
+        assume(sum(map(abs, p.coeffs().values())) < 1 << (b - 1))
+        got = PackedVector({(2,): pack(p, b)}, b).at_one()
+        assert got == ({(2,): p.at_one()} if p.at_one() else {})
+
+    @pytest.mark.parametrize("b", [8, 32, 64])
+    def test_at_one_refuses_at_the_bound(self, b):
+        half = 1 << (b - 1)
+        with pytest.raises(CoefficientBoundError) as want:
+            laurent.packed_terms((-2, 5, half), b, ())
+        col = PackedVector({(1,): (0, 1, 1), (): (-2, 5, half)}, b)
+        with pytest.raises(CoefficientBoundError) as got:
+            col.at_one()
+        assert str(got.value) == str(want.value)
+
+    def test_stored_columns_are_compact(self):
+        # two tuples cost 8 B per entry each, plus their headers; the same
+        # columns as {label: entry} dicts cost about 42 B per entry
+        solver = CanonicalBasis(5)
+        solver.matrix(30)
+        cols = stored_columns(solver)
+        size = sum(sys.getsizeof(col.rows) + sys.getsizeof(col.entries)
+                   for col in cols)
+        assert size < 24 * sum(map(len, cols))
 
 
 def change_of_basis(h, m):

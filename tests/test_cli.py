@@ -128,6 +128,14 @@ class TestCanonicalCommand:
             assert code == code2 == 0
             assert_same_text(slow_out, fast_out)
 
+    @pytest.mark.parametrize("argv, m", [
+        (("canonical", "--n", "1"), "-1"), (("decomp", "--p", "3"), "-2")],
+        ids=["canonical", "decomp"])
+    def test_negative_degree_is_usage_error(self, capsys, argv, m):
+        code, out, err = run(capsys, *argv, "--m", m)
+        assert (code, out) == (2, "")
+        assert err == f"error: degree must be nonnegative, got {m}\n"
+
 
 class TestDecompCommand:
     def test_table(self, capsys):
@@ -336,9 +344,8 @@ class TestInternalErrors:
         monkeypatch.setattr(laurent, "DIGIT_BITS", 8)
         M = CanonicalBasis(3).matrix(5)
         col = M.columns[(4, 1)]             # the first column, one entry
-        assert col.bits == 8
-        e0, x, _ = col.packed[(4, 1)]
-        col.packed[(4, 1)] = (e0, x, 1 << 7)
+        assert (col.bits, col.rows) == (8, ((4, 1),))
+        col.entries = tuple((e0, x, 1 << 7) for e0, x, _ in col.entries)
         monkeypatch.setattr(CanonicalBasis, "matrix", lambda self, m: M)
         code, out, err = run(capsys, "canonical", "--n", "1", "--m", "5",
                              "--format", "json")

@@ -75,6 +75,14 @@ class TestEnumeration:
         assert pt.enumerate_dp_h(3, 0) == [()]
         assert pt.enumerate_dpr_h(3, 0) == [()]
 
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"^degree must be nonnegative, got -1$"):
+            pt.enumerate_dp(-1)
+        with pytest.raises(ValueError,
+                           match=r"^degree must be nonnegative, got -2$"):
+            pt.enumerate_dp_h(3, -2)
+
     def test_dp_h_7(self):
         assert pt.enumerate_dp_h(3, 7) == [
             (7,), (6, 1), (5, 2), (4, 3), (4, 2, 1), (3, 3, 1)]
