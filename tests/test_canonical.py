@@ -337,12 +337,13 @@ class TestColumnLayout:
         solver = solved(monkeypatch, digit_bits, 3, 20)
         assert solver._bits == bits
         for m, M in solver._matrices.items():
+            labels = pt.enumerate_dp_h(3, m)
             for col in M.columns.values():
                 assert len(col.rows) == len(col.entries) == len(col) > 0
                 assert all(a > b for a, b in zip(col.rows, col.rows[1:]))
                 held = dict(zip(col.rows, col.entries))
-                assert held.keys() <= set(pt.enumerate_dp_h(3, m))
-                for lam in pt.enumerate_dp_h(3, m):
+                assert held.keys() <= set(labels)
+                for lam in labels:
                     c = held.get(lam)
                     want = (laurent.ZERO if c is None
                             else laurent.unpack(c, col.bits, lam))
