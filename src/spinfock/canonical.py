@@ -52,15 +52,21 @@ _COLUMN = ('{%s"label": %%s,%s"bottom": %%s,%s"entries": %%s\n    }'
 _ENTRY = '{%s"row": %%s,%s"poly": %%s\n        }' % ((_P10,) * 2)
 
 
-def render_table(M, row_name) -> str:
-    """Aligned text table of M; `row_name` formats the row labels."""
+def _grid(M, rows, items):
+    """M's table as cell texts, row by row: each column is read once, by
+    `items`, as a {row: text} map, and is "0" off its support."""
+    cols = [{lam: str(c) for lam, c in items(M.columns[mu])} for mu in M.labels]
+    return ([col.get(lam, "0") for col in cols] for lam in rows)
+
+
+def render_table(M, row_name, items) -> str:
+    """Aligned text table of M; `row_name` formats a row label."""
     rows = M.row_labels()
     names = [row_name(lam) for lam in rows]
     heads = [pt.format_partition(mu) for mu in M.labels]
-    cells = [[str(M.entry(lam, mu)) for mu in M.labels] for lam in rows]
+    cells = list(_grid(M, rows, items))
     name_w = max(map(len, names), default=2)
-    widths = [max([len(heads[j])] + [len(row[j]) for row in cells])
-              for j in range(len(heads))]
+    widths = [max(map(len, col)) for col in zip(heads, *cells)]
     lines = [" " * name_w + "  " +
              "  ".join(hd.ljust(w) for hd, w in zip(heads, widths))]
     for name, row in zip(names, cells):
@@ -69,14 +75,14 @@ def render_table(M, row_name) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(M) -> str:
+def render_csv(M, items) -> str:
     """The table of M as CSV, every label a formatted partition."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow([""] + [pt.format_partition(mu) for mu in M.labels])
-    for lam in M.row_labels():
-        w.writerow([pt.format_partition(lam)] +
-                   [str(M.entry(lam, mu)) for mu in M.labels])
+    rows = M.row_labels()
+    for lam, row in zip(rows, _grid(M, rows, items)):
+        w.writerow([pt.format_partition(lam)] + row)
     return buf.getvalue()
 
 
@@ -146,10 +152,10 @@ class BasisMatrix:
 
     def render_table(self) -> str:
         """Aligned text table: rows DP_h(m), columns DPR_h(m), decreasing lex."""
-        return render_table(self, pt.format_partition)
+        return render_table(self, pt.format_partition, FockVector.terms)
 
     def to_csv(self) -> str:
-        return render_csv(self)
+        return render_csv(self, FockVector.terms)
 
 
 class CanonicalBasis:
@@ -182,8 +188,7 @@ class CanonicalBasis:
         return self.matrix(sum(mu)).columns[mu]
 
     def matrix(self, m: int) -> BasisMatrix:
-        if m < 0:
-            raise ValueError(f"degree must be nonnegative, got {m}")
+        pt.check_degree(m)
         while m not in self._matrices:
             try:
                 for d in range(len(self._matrices), m + 1):

@@ -189,4 +189,5 @@ def highest_weight_vertices(h: int, max_m: int) -> list:
     """
     pt.check_h(h)
     return [tuple(h * x for x in mu)
-            for k in range(max_m // h + 1) for mu in pt.partitions(k)]
+            for k in range(pt.check_degree(max_m) // h + 1)
+            for mu in pt.partitions(k)]

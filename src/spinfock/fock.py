@@ -66,9 +66,6 @@ class FockVector:
         """(label, least exponent of its coefficient) pairs."""
         return [(lam, min(c._c)) for lam, c in self._terms.items()]
 
-    def support(self) -> list:
-        return sorted(self._terms, reverse=True)
-
     def coefficient(self, lam) -> LaurentPoly:
         return self._terms.get(tuple(lam), ZERO)
 

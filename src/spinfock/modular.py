@@ -1,7 +1,7 @@
 """Specialization at q = 1 and the spin-character bookkeeping.
 
 character_image drops ghost (non-strict) labels and scales a strict label
-lam by 2^(b(lam) - a_p(lam)); reduced_matrix normalizes each canonical
+lam by 2^(b(lam) - a_p(lam)); ReducedMatrix.of normalizes each canonical
 column so, and reduce_external_matrix reduces a CSV decomposition matrix
 to the same columns.  Character vectors are {strict partition: int} dicts.
 """
@@ -36,8 +36,9 @@ def character_image(p: int, vec: FockVector) -> dict:
         if not pt.is_strict(lam):
             continue
         e = pt.b_exponent(lam) - pt.a_h(p, lam)
-        if e < 0:
-            raise ValueError(f"negative two-power exponent at {lam}")
+        if e < 0:   # a_p(lam) <= floor((m - len)/3) <= b(lam) for odd p >= 3
+            raise pt.InvariantError(
+                f"negative two-power exponent {e} at p={p}, label {lam}")
         out[lam] = (2 ** e) * value
     return out
 
@@ -60,6 +61,13 @@ class ReducedMatrix:
     m: int
     labels: tuple
     columns: dict
+
+    @classmethod
+    def of(cls, M) -> ReducedMatrix:
+        """The normalized q = 1 columns of a solved matrix M, at p = M.h."""
+        cvs = {mu: character_image(M.h, M.columns[mu]) for mu in M.labels}
+        return cls(M.h, M.m, M.labels, {mu: strip_two_power(cv) if cv else {}
+                                        for mu, cv in cvs.items()})
 
     def row_labels(self) -> list:
         return pt.enumerate_dp(self.m)
@@ -92,28 +100,19 @@ class ReducedMatrix:
 
     def render_table(self) -> str:
         return render_table(
-            self, lambda lam: f"<{pt.format_partition(lam)[1:-1]}>")
+            self, lambda lam: f"<{pt.format_partition(lam)[1:-1]}>", dict.items)
 
     def to_csv(self) -> str:
-        return render_csv(self)
+        return render_csv(self, dict.items)
 
 
-def reduced_matrix(p: int, m: int, solver: CanonicalBasis = None) -> ReducedMatrix:
+def reduced_matrix(p: int, m: int) -> ReducedMatrix:
     """Conjectural reduced decomposition matrix: normalized q = 1 columns.
 
     p is only required to be odd; the representation-theoretic reading needs
     p prime, but the computation is uniform.
     """
-    solver = solver or CanonicalBasis(p)
-    if solver.h != p:
-        raise ValueError(f"reduced matrix at p={p} needs a solver at h={p}, "
-                         f"got h={solver.h}")
-    M = solver.matrix(m)
-    cols = {}
-    for mu in M.labels:
-        cv = character_image(p, M.columns[mu])
-        cols[mu] = strip_two_power(cv) if cv else {}
-    return ReducedMatrix(p, m, M.labels, cols)
+    return ReducedMatrix.of(CanonicalBasis(p).matrix(m))
 
 
 # -- external decomposition-matrix fixtures ---------------------------------
@@ -250,9 +249,7 @@ def classical_image(p: int, vec: FockVector) -> dict:
 def odd_series_coefficients(p: int, max_m: int) -> list:
     """Coefficients of prod over odd i not divisible by p of 1/(1 - t^i)."""
     pt.check_h(p)
-    if max_m < 0:
-        raise ValueError(f"degree must be nonnegative, got {max_m}")
-    coeffs = [0] * (max_m + 1)
+    coeffs = [0] * (pt.check_degree(max_m) + 1)
     coeffs[0] = 1
     for i in range(1, max_m + 1, 2):
         if i % p == 0:

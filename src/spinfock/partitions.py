@@ -28,6 +28,13 @@ def rank(h: int) -> int:
     return (h - 1) // 2
 
 
+def check_degree(m: int) -> int:
+    """Refuse a negative degree, under which an answer would be vacuous."""
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative, got {m}")
+    return m
+
+
 def check_color(h: int, i: int) -> int:
     """Reject a color outside 0..n; returns the rank n."""
     n = rank(h)
@@ -84,7 +91,7 @@ def in_dpr_h(h: int, lam) -> bool:
 
 def partitions(m: int):
     """All partitions of m, decreasing lex order: DP_1, every part may repeat."""
-    return _dp_h_gen(1, m, m)
+    return _dp_h_gen(1, check_degree(m), m)
 
 
 def _dp_h_gen(h, rem, bound):
@@ -99,17 +106,13 @@ def _dp_h_gen(h, rem, bound):
 
 def enumerate_dp(m: int) -> list:
     """Strict partitions of m, decreasing lex: DP_(m+1), no part repeats."""
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    return list(_dp_h_gen(m + 1, m, m))
+    return list(_dp_h_gen(m + 1, check_degree(m), m))
 
 
 def enumerate_dp_h(h: int, m: int) -> list:
     """Partitions of m with repeats only at multiples of h, decreasing lex."""
     check_h(h)
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    return list(_dp_h_gen(h, m, m))
+    return list(_dp_h_gen(h, check_degree(m), m))
 
 
 def enumerate_dpr_h(h: int, m: int) -> list:

@@ -179,14 +179,8 @@ def run_paper_suite() -> Report:
 
 # -- property helpers ---------------------------------------------------------
 
-def _check_degree(max_m: int) -> None:
-    """Refuse a negative degree bound, under which a check passes vacuously."""
-    if max_m < 0:
-        raise ValueError(f"degree bound must be nonnegative, got {max_m}")
-
-
 def triangularity_holds(h: int, max_m: int) -> CheckResult:
-    _check_degree(max_m)
+    pt.check_degree(max_m)
     solver = CanonicalBasis(h)
     for m in range(max_m + 1):
         rep = check_basis_matrix(solver.matrix(m))
@@ -197,7 +191,7 @@ def triangularity_holds(h: int, max_m: int) -> CheckResult:
 
 def shift_equivariance_holds(h: int, max_m: int) -> CheckResult:
     """ftilde commutes with adding h*mu componentwise, shifting components."""
-    _check_degree(max_m)
+    pt.check_degree(max_m)
     n = pt.rank(h)
     graph = crystal.component(h, (), max_m)
     shifts = [mu for k in range(0, max_m // h + 1) for mu in pt.partitions(k)]
@@ -248,7 +242,7 @@ def confluence_holds(count: int = 10000, seed: int = 0) -> CheckResult:
 
 
 def fast_slow_agree(h: int, max_m: int) -> CheckResult:
-    _check_degree(max_m)
+    pt.check_degree(max_m)
     fast = CanonicalBasis(h, fast=True)
     slow = CanonicalBasis(h, fast=False)
     for m in range(max_m + 1):
@@ -259,7 +253,7 @@ def fast_slow_agree(h: int, max_m: int) -> CheckResult:
 
 def quotient_intertwines(p: int, max_m: int) -> CheckResult:
     """q = 1 generator action against the classical part-replacement action."""
-    _check_degree(max_m)
+    pt.check_degree(max_m)
     n = pt.rank(p)
     for m in range(max_m + 1):
         for lam in pt.enumerate_dp_h(p, m):
@@ -289,7 +283,7 @@ def _commutator_rhs(h, i, v):
 
 def commutator_holds(h: int, max_degree: int, trials: int = 25,
                      seed: int = 1) -> CheckResult:
-    _check_degree(max_degree)
+    pt.check_degree(max_degree)
     rng = random.Random(seed)
     n = pt.rank(h)
     for _ in range(trials):
@@ -315,7 +309,7 @@ def commutator_holds(h: int, max_degree: int, trials: int = 25,
 
 def divided_power_integrality(h: int, max_m: int) -> CheckResult:
     """Every ladder monomial applies with exact quantum-factorial division."""
-    _check_degree(max_m)
+    pt.check_degree(max_m)
     try:
         for m in range(max_m + 1):
             for mu in pt.enumerate_dpr_h(h, m):
@@ -347,7 +341,7 @@ def _rational_rank(rows: list) -> int:
 def rank_checks(p: int, max_m: int) -> CheckResult:
     """The intermediate vectors stay independent at q = 1: the columns
     character_image(A(mu)), mu in DPR_p(m), have full rational rank."""
-    _check_degree(max_m)
+    pt.check_degree(max_m)
     for m in range(max_m + 1):
         labels = pt.enumerate_dpr_h(p, m)
         rows = pt.enumerate_dp(m)
@@ -365,7 +359,7 @@ def rank_checks(p: int, max_m: int) -> CheckResult:
 def count_checks(p: int, max_m: int) -> CheckResult:
     """|DPR_p(m)|, the odd-part series and the layer sizes of the vacuum
     crystal agree for every m <= max_m."""
-    _check_degree(max_m)
+    pt.check_degree(max_m)
     reg = tuple(len(pt.enumerate_dpr_h(p, m)) for m in range(max_m + 1))
     ser = tuple(modular.odd_series_coefficients(p, max_m))
     counts = crystal.component(p, (), max_m).degree_counts()

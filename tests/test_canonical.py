@@ -111,7 +111,8 @@ class TestMatrixChecks:
         for m in range(max_m + 1):
             M = solver.matrix(m)
             for mu in M.labels:
-                cores = {oracle_hbar_core(h, lam) for lam in M.column(mu).support()}
+                cores = {oracle_hbar_core(h, lam)
+                         for lam, _ in M.column(mu).terms()}
                 assert cores == {oracle_hbar_core(h, mu)}, (m, mu)
 
     def test_column_count_matches_crystal(self):
@@ -196,7 +197,7 @@ class TestDividedPowerMemo:
             for mu in pt.enumerate_dpr_h(h, m):
                 nu, res, cnt = pt.remove_outer_ladder(h, mu)
                 read.update((res, cnt, lam)
-                            for lam in solver.column(nu).support())
+                            for lam, _ in solver.column(nu).terms())
             assert len(calls) == len(read), m
 
 
@@ -488,6 +489,11 @@ class TestSerialization:
         assert "q-q^5" in text
         assert "2q^2" in text
         assert "(3 3 3 1)" in text
+
+    def test_writers_on_a_matrix_without_labels(self):
+        M = BasisMatrix(3, 2, (), {})
+        assert M.render_table() == "     \n(2)  \n"
+        assert M.to_csv() == '""\n(2)\n'
 
     def test_csv(self):
         csv_text = canonical_basis(3, 10).to_csv()

@@ -354,6 +354,16 @@ class TestInternalErrors:
         assert err == ("internal error at h=3 m=5: CoefficientBoundError: "
                        "row (4, 1): carried coefficient bound 128 >= 2^7\n")
 
+    def test_broken_two_power_invariant_exit_code_3(self, capsys,
+                                                   monkeypatch):
+        from spinfock import partitions as pt
+        monkeypatch.setattr(pt, "a_h", lambda h, lam: sum(lam))
+        code, out, err = run(capsys, "decomp", "--p", "3", "--m", "10")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error at h=3 m=10: InvariantError: "
+                              "negative two-power exponent ")
+        assert "p=3" in err and err.count("\n") == 1
+
 
 class TestClosedPipe:
     """A reader that closes stdout early ends the command quietly, exit 141."""

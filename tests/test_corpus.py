@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from spinfock.canonical import CanonicalBasis
-from spinfock.modular import reduced_matrix
+from spinfock.modular import ReducedMatrix
 
 CORPUS = Path(__file__).resolve().parent / "corpus_digests.json"
 GRID = {3: 26, 5: 24, 7: 24, 9: 24}             # h -> largest degree
@@ -36,7 +36,8 @@ def digests(h: int, max_m: int, fast: bool = True) -> dict:
     """{"m": {"canonical": sha256, "reduced": sha256}} for m = 0..max_m."""
     solver = CanonicalBasis(h, fast=fast)
     return {str(m): {"canonical": _digest(solver.matrix(m).to_json()),
-                     "reduced": _digest(reduced_matrix(h, m, solver).to_json())}
+                     "reduced": _digest(
+                         ReducedMatrix.of(solver.matrix(m)).to_json())}
             for m in range(max_m + 1)}
 
 

@@ -253,11 +253,11 @@ class TestDegreesAndWeights:
             for lam in pt.enumerate_dp_h(h, m):
                 v = FockVector.basis(lam)
                 for i in range(n + 1):
-                    for lam2 in apply_f(h, i, v).support():
+                    for lam2, _ in apply_f(h, i, v).terms():
                         assert sum(lam2) == m + 1
-                    for lam2 in apply_e(h, i, v).support():
+                    for lam2, _ in apply_e(h, i, v).terms():
                         assert sum(lam2) == m - 1
-                    assert apply_t(h, i, v).support() == [lam]
+                    assert [mu for mu, _ in apply_t(h, i, v).terms()] == [lam]
 
     def test_weight_vacuum(self):
         assert weight(3, FockVector.basis(())) == (0, 0)
@@ -380,7 +380,7 @@ def cartan_matrix(h, max_m=6):
     for m in range(max_m + 1):
         for lam in pt.enumerate_dp_h(h, m):
             for j in range(n + 1):
-                for mu in apply_f(h, j, FockVector.basis(lam)).support():
+                for mu, _ in apply_f(h, j, FockVector.basis(lam)).terms():
                     for i in range(n + 1):
                         a, r = divmod(_t_exponent(h, i, lam) - _t_exponent(h, i, mu),
                                       laurent.generator_scale(i, n))

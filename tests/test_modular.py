@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spinfock import crystal
 from spinfock import partitions as pt
 from spinfock import fixtures as fx
 from spinfock import modular
@@ -109,10 +110,6 @@ class TestReducedMatrix:
         for m in range(0, 12):
             assert not modular.reduced_matrix(3, m).negative_entries()
 
-    def test_solver_for_another_modulus_rejected(self):
-        with pytest.raises(ValueError, match="p=5.*h=3"):
-            modular.reduced_matrix(5, 6, CanonicalBasis(3))
-
     def test_json(self):
         obj = modular.reduced_matrix(3, 10).to_json()
         assert obj["p"] == 3 and obj["m"] == 10
@@ -123,6 +120,11 @@ class TestReducedMatrix:
         text = modular.reduced_matrix(3, 10).render_table()
         assert "<10>" in text
         assert "(3 3 3 1)" in text
+
+    def test_writers_print_a_stored_zero_as_zero(self):
+        R = modular.ReducedMatrix(3, 3, ((3,),), {(3,): {(3,): 1, (2, 1): 0}})
+        assert R.render_table() == "       (3)\n<3>    1  \n<2 1>  0  \n"
+        assert R.to_csv() == ",(3)\n(3),1\n(2 1),0\n"
 
 
 class TestBlockTheorem:
@@ -136,7 +138,7 @@ class TestBlockTheorem:
         solver = CanonicalBasis(p)
         found = 0
         for m in range(25):
-            R = modular.reduced_matrix(p, m, solver)
+            R = modular.ReducedMatrix.of(solver.matrix(m))
             for mu in R.labels:
                 core = oracle_hbar_core(p, mu)
                 col = R.columns[mu]
@@ -315,14 +317,22 @@ class TestCountsAndRanks:
     def test_rank_sweep(self, m):
         assert verify.rank_checks(3, m).ok
 
+    # every public function taking a degree refuses a negative one through
+    # partitions.check_degree, never with a vacuous answer
     @pytest.mark.parametrize("helper", [
         verify.triangularity_holds, verify.shift_equivariance_holds,
         verify.fast_slow_agree, verify.quotient_intertwines,
         verify.commutator_holds, verify.divided_power_integrality,
-        verify.rank_checks, verify.count_checks])
+        verify.rank_checks, verify.count_checks,
+        pt.enumerate_dp_h, pt.enumerate_dpr_h, canonical_basis,
+        modular.reduced_matrix, modular.odd_series_coefficients,
+        crystal.highest_weight_vertices,
+        pytest.param(lambda h, m: pt.enumerate_dp(m), id="enumerate_dp"),
+        pytest.param(lambda h, m: list(pt.partitions(m)), id="partitions"),
+        pytest.param(lambda h, m: CanonicalBasis(h).matrix(m), id="matrix")])
     def test_property_helpers_refuse_negative_degree(self, helper):
         with pytest.raises(ValueError,
-                           match=r"^degree bound must be nonnegative, got -1$"):
+                           match=r"^degree must be nonnegative, got -1$"):
             helper(3, -1)
 
 
@@ -455,7 +465,7 @@ class TestFirstNegativeColumnsP3:
 
     def test_negative_entries(self):
         solver = CanonicalBasis(3)
-        R = modular.reduced_matrix(3, 27, solver)
+        R = modular.ReducedMatrix.of(solver.matrix(27))
         assert R.negative_entries() == [
             (self.ROW_A, self.G6), (self.ROW_B, self.G3), (self.ROW_A, self.G3)]
         assert [R.entry(lam, mu) for lam, mu in R.negative_entries()] == [
