@@ -171,6 +171,7 @@ class CanonicalBasis:
         self.h = h
         self.fast = fast
         self._contents = {}             # label -> residue content
+        self._distinct = {}             # residue content -> its shared tuple
         self._start(laurent.DIGIT_BITS)
 
     def _start(self, bits):
@@ -198,10 +199,13 @@ class CanonicalBasis:
         return self._matrices[m]
 
     def _residue_content(self, lam) -> tuple:
-        # a dict, not functools.cache: its 1-tuple keys cost peak RSS
+        # a dict, not functools.cache: its 1-tuple keys cost peak RSS; the
+        # labels of one content share one tuple (74 for 5,978 labels at h=3)
         content = self._contents.get(lam)
         if content is None:
-            content = self._contents[lam] = pt.residue_content(self.h, lam)
+            content = pt.residue_content(self.h, lam)
+            content = self._distinct.setdefault(content, content)
+            self._contents[lam] = content
         return content
 
     def _intermediate(self, mu, memo) -> dict:

@@ -9,6 +9,7 @@ usage error (a ValueError), 3 internal error (a broken engine invariant),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -42,8 +43,25 @@ def _modulus(args) -> int:
 
 
 def _write(chunks):
+    """Write the pieces to stdout joined into blocks of at least
+    io.DEFAULT_BUFFER_SIZE characters, the last block excepted; a piece that
+    long on its own is written as it is.  Unbuffered stdout (python -u) thus
+    makes one syscall per block, not one per piece."""
+    write, block, size = sys.stdout.write, [], 0
     for chunk in chunks:
-        sys.stdout.write(chunk)
+        if len(chunk) >= io.DEFAULT_BUFFER_SIZE:
+            if block:
+                write("".join(block))
+                block, size = [], 0
+            write(chunk)
+            continue
+        block.append(chunk)
+        size += len(chunk)
+        if size >= io.DEFAULT_BUFFER_SIZE:
+            write("".join(block))
+            block, size = [], 0
+    if block:
+        write("".join(block))
 
 
 def _emit_json(obj):

@@ -38,61 +38,67 @@ def _letter_stats(h, i):
     return tuple((_walk(h, i, j - 1, -1), _walk(h, i, j, 1)) for j in range(h))
 
 
-def _suffix_stats(h, i, lam):
-    """(letters, stats): letters[k] = (eps, phi) of the letter lam[k] and
-    stats[k] = (eps, phi) of the suffix lam[k:] (with the vacuum base)."""
-    n = pt.check_color(h, i)
+def _suffix_stats(h, i, lam, n):
+    """(eps, phi, low, up) of the checked label lam for the checked color i
+    of rank n, in one pass from the vacuum leftward: eps and phi of the whole
+    label, and the first letter k that ftilde (eps_k >= phi of lam[k+1:]) and
+    etilde (eps_k > phi of lam[k+1:]) act on, len(lam) when none does.
+    ftilde kills lam exactly when phi is 0."""
     table = _letter_stats(h, i)
-    letters = [table[j % h] for j in lam]
-    r = len(lam)
-    stats = [(0, 0)] * (r + 1)
-    et, ft = 0, 1 if i == n else 0
-    stats[r] = (et, ft)
-    for k in range(r - 1, -1, -1):
-        ea, pa = letters[k]
+    et, ft = 0, 1 if i == n else 0      # the vacuum slot
+    low = up = len(lam)
+    for k in range(len(lam) - 1, -1, -1):
+        ea, pa = table[lam[k] % h]
+        if ea >= ft:
+            low = k
         if ea > ft:
-            et, ft = et + ea - ft, pa
+            et, ft, up = et + ea - ft, pa, k
         else:
             ft += pa - ea
-        stats[k] = (et, ft)
-    return letters, stats
+    return et, ft, low, up
+
+
+def _lower(h, i, lam, n):
+    """ftilde on a checked label and color: the one lowering of the package."""
+    _, ft, k, _ = _suffix_stats(h, i, lam, n)
+    if not ft:
+        return None
+    if k == len(lam):                   # the vacuum slot, so i == n
+        return lam + (1,)
+    return lam[:k] + (lam[k] + 1,) + lam[k + 1:]
+
+
+def _checked(h, i, lam):
+    """Check the label, then the color, as every public operator does."""
+    lam = pt.check_dp_h(h, lam)
+    return lam, pt.check_color(h, i)
 
 
 def eps(h: int, i: int, lam) -> int:
     """Length of the backward i-string through a vertex."""
-    lam = pt.check_dp_h(h, lam)
-    return _suffix_stats(h, i, lam)[1][0][0]
+    lam, n = _checked(h, i, lam)
+    return _suffix_stats(h, i, lam, n)[0]
 
 
 def phi(h: int, i: int, lam) -> int:
     """Length of the forward i-string through a vertex."""
-    lam = pt.check_dp_h(h, lam)
-    return _suffix_stats(h, i, lam)[1][0][1]
+    lam, n = _checked(h, i, lam)
+    return _suffix_stats(h, i, lam, n)[1]
 
 
 def ftilde(h: int, i: int, lam):
     """Lowering crystal operator; None when it kills the vertex."""
-    lam = pt.check_dp_h(h, lam)
-    letters, stats = _suffix_stats(h, i, lam)
-    for k, part in enumerate(lam):
-        ea, pa = letters[k]
-        if ea >= stats[k + 1][1]:
-            if pa == 0:
-                return None
-            return lam[:k] + (part + 1,) + lam[k + 1:]
-    # fell through to the vacuum slot
-    return lam + (1,) if i == pt.rank(h) else None
+    lam, n = _checked(h, i, lam)
+    return _lower(h, i, lam, n)
 
 
 def etilde(h: int, i: int, lam):
     """Raising crystal operator, the partial inverse of ftilde."""
-    lam = pt.check_dp_h(h, lam)
-    letters, stats = _suffix_stats(h, i, lam)
-    for k, part in enumerate(lam):
-        if letters[k][0] > stats[k + 1][1]:
-            new = lam[:k] + (part - 1,) + lam[k + 1:]
-            return pt.check_partition(new)
-    return None
+    lam, n = _checked(h, i, lam)
+    k = _suffix_stats(h, i, lam, n)[3]
+    if k == len(lam):
+        return None
+    return pt.check_partition(lam[:k] + (lam[k] - 1,) + lam[k + 1:])
 
 
 _P4, _P6 = "\n" + " " * 4, "\n" + " " * 6
@@ -159,9 +165,11 @@ def component(h: int, start, max_degree: int) -> CrystalGraph:
     layer is one degree: emitting the layers in decreasing lex order lists
     vertices and edges by degree, then source (decreasing lex), then color.
     """
+    pt.check_degree(max_degree)
     start = pt.check_dp_h(h, start)
-    if sum(start) > max_degree:
-        raise ValueError(f"start {start} has degree {sum(start)}, above "
+    degree = sum(start)
+    if degree > max_degree:
+        raise ValueError(f"start {start} has degree {degree}, above "
                          f"max degree {max_degree}")
     n = pt.rank(h)
     vertices = []
@@ -169,16 +177,17 @@ def component(h: int, start, max_degree: int) -> CrystalGraph:
     layer = [start]
     while layer:
         vertices += layer
+        if degree == max_degree:
+            break
         nxt = set()
         for v in layer:
-            if sum(v) >= max_degree:
-                continue
             for i in range(n + 1):
-                w = ftilde(h, i, v)
+                w = _lower(h, i, v, n)
                 if w is not None:
                     edges.append((v, i, w))
                     nxt.add(w)
         layer = sorted(nxt, reverse=True)
+        degree += 1
     return CrystalGraph(h, max_degree, tuple(vertices), tuple(edges))
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from spinfock import crystal, modular
 from spinfock.canonical import CanonicalBasis
-from spinfock.cli import _emit_json, main
+from spinfock.cli import _emit_json, _write, main
 from spinfock.partitions import json_document
 from spinfock.verify import run_suite
 
@@ -76,6 +76,12 @@ class TestCrystalCommand:
                              "--max-degree", "2")
         assert (code, out) == (2, "")
         assert err == "error: start (3,) has degree 3, above max degree 2\n"
+
+    def test_negative_max_degree_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "crystal", "--n", "1", "--max-degree",
+                             "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: degree must be nonnegative, got -1\n"
 
     def test_invalid_start(self, capsys):
         code, _, err = run(capsys, "crystal", "--n", "1", "--start", "2,2",
@@ -376,6 +382,11 @@ class TestClosedPipe:
         self.check_closed_after(lines, "canonical", "--n", "1", "--m", str(m),
                                 "--format", "json")
 
+    def test_crystal_quiet_exit_141(self):
+        # about 1 MB through the block writer, closed like `| head -2`
+        self.check_closed_after(2, "crystal", "--n", "1", "--max-degree",
+                                "44", "--format", "json")
+
     def test_generic_writer_quiet_exit_141(self):
         # about 700 KB through _emit_json, closed like `| head -2`
         self.check_closed_after(2, "decomp", "--p", "3", "--m", "25",
@@ -432,6 +443,57 @@ class TestJsonWriter:
     @example({"n": [-1, 0, 10**30, True, False, None], 'k"\\\n': "\x01é"})
     def test_matches_json_dumps_indent_2(self, obj):
         assert emitted(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+BLOCK = io.DEFAULT_BUFFER_SIZE
+
+
+class TestBlockWriter:
+    """cli._write hands stdout blocks of io.DEFAULT_BUFFER_SIZE characters."""
+
+    @staticmethod
+    def written(monkeypatch, chunks):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        _write(iter(chunks))
+        return out
+
+    @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_output_is_the_joined_pieces(self, monkeypatch, size):
+        for chunks in (["a" * size], ["a" * size, "b", "c" * size, "dd"],
+                       ["e"] + ["f" * size] * 3 + ["g"],
+                       ["h" * (size // 7)] * 15, ["é" * size, "", "ß"], []):
+            out = self.written(monkeypatch, chunks)
+            assert out.getvalue() == "".join(chunks)
+            assert out.writes <= len(chunks)
+
+    def test_small_pieces_make_full_blocks(self, monkeypatch):
+        chunks = ["x" * 100] * 300
+        out = self.written(monkeypatch, chunks)
+        assert out.getvalue() == "".join(chunks)
+        per_block = -(-BLOCK // 100)        # pieces until a block is full
+        assert out.writes == -(-300 // per_block)
+
+    def test_crystal_json_writes_per_block(self, monkeypatch):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["crystal", "--n", "1", "--max-degree", "40",
+                     "--format", "json"]) == 0
+        size = len(out.getvalue().encode())
+        assert size > 50 * BLOCK
+        assert out.writes <= -(-size // BLOCK) + 1
 
 
 class TestJsonDocument:

@@ -93,7 +93,10 @@ class TestOperatorsAgainstWalks:
             for lam in pt.enumerate_dp_h(h, m):
                 for i in range(pt.rank(h) + 1):
                     case = (h, i, lam)
-                    assert crystal.ftilde(h, i, lam) == reference_ftilde(*case)
+                    out = crystal.ftilde(h, i, lam)
+                    assert out == reference_ftilde(*case)
+                    # component lowers unchecked: ftilde stays inside DP_h
+                    assert out is None or pt.check_dp_h(h, out) == out
                     assert crystal.etilde(h, i, lam) == reference_etilde(*case)
                     eps0, phi0 = reference_stats(*case)[1][0]
                     assert crystal.eps(h, i, lam) == eps0, case
@@ -251,6 +254,20 @@ class TestComponent:
                          pt.shift_by_multiple(3, b, (1,)))
                         for a, i, b in base.edges}
         assert mapped_edges == set(moved.edges)
+
+    @pytest.mark.parametrize("h, top", [(3, 14), (5, 12), (7, 12)])
+    def test_edges_are_the_public_lowerings(self, h, top):
+        # the breadth-first search and ftilde share one kernel; the walks of
+        # reference_ftilde check that kernel itself
+        graph = crystal.component(h, (), top)
+        for m in range(top + 1):
+            assert graph.vertices_of_degree(m) == pt.enumerate_dpr_h(h, m)
+        inner = [v for v in graph.vertices if sum(v) < top]
+        colors = range(pt.rank(h) + 1)
+        public = {(v, i, crystal.ftilde(h, i, v)) for v in inner for i in colors}
+        walked = {(v, i, reference_ftilde(h, i, v)) for v in inner for i in colors}
+        assert public == walked
+        assert set(graph.edges) == {e for e in public if e[2] is not None}
 
     def test_edges_deterministic_and_unique_color(self):
         graph = crystal.component(3, (), 8)
