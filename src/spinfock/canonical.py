@@ -12,9 +12,7 @@ ladder monomial of mu applied to the vacuum.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import ge
@@ -52,38 +50,32 @@ _COLUMN = ('{%s"label": %%s,%s"bottom": %%s,%s"entries": %%s\n    }'
 _ENTRY = '{%s"row": %%s,%s"poly": %%s\n        }' % ((_P10,) * 2)
 
 
-def _grid(M, rows, items):
-    """M's table as cell texts, row by row: each column is read once, by
-    `items`, as a {row: text} map, and is "0" off its support."""
-    cols = [{lam: str(c) for lam, c in items(M.columns[mu])} for mu in M.labels]
-    return ([col.get(lam, "0") for col in cols] for lam in rows)
+def matrix_lines(M, fmt, row_name, items):
+    """M's aligned text table ("table") or CSV ("csv"), one line per piece.
 
-
-def render_table(M, row_name, items) -> str:
-    """Aligned text table of M; `row_name` formats a row label."""
+    Each column is read once, by `items`, as a {row: text} map, and is "0"
+    off its support.  The table names a row by `row_name` and pads each
+    column to its header or longest text ("0" is narrower than any header,
+    at least "()").  CSV names every label as a partition and quotes
+    nothing, as no label or text holds a comma, a quote or a newline; a
+    label-less header is "" as csv.writer writes it.
+    """
     rows = M.row_labels()
-    names = [row_name(lam) for lam in rows]
     heads = [pt.format_partition(mu) for mu in M.labels]
-    cells = list(_grid(M, rows, items))
+    cols = [{lam: str(c) for lam, c in items(M.columns[mu])} for mu in M.labels]
+    if fmt == "csv":
+        yield ",".join(["", *heads]) + "\n" if heads else '""\n'
+        for lam in rows:
+            yield ",".join([pt.format_partition(lam),
+                            *(col.get(lam, "0") for col in cols)]) + "\n"
+        return
+    names = [row_name(lam) for lam in rows]
     name_w = max(map(len, names), default=2)
-    widths = [max(map(len, col)) for col in zip(heads, *cells)]
-    lines = [" " * name_w + "  " +
-             "  ".join(hd.ljust(w) for hd, w in zip(heads, widths))]
-    for name, row in zip(names, cells):
-        lines.append(name.ljust(name_w) + "  " +
-                     "  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(M, items) -> str:
-    """The table of M as CSV, every label a formatted partition."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([""] + [pt.format_partition(mu) for mu in M.labels])
-    rows = M.row_labels()
-    for lam, row in zip(rows, _grid(M, rows, items)):
-        w.writerow([pt.format_partition(lam)] + row)
-    return buf.getvalue()
+    widths = [max(map(len, (hd, *col.values()))) for hd, col in zip(heads, cols)]
+    yield " " * name_w + "  " + "  ".join(map(str.ljust, heads, widths)) + "\n"
+    for lam, name in zip(rows, names):
+        yield name.ljust(name_w) + "  " + "  ".join(
+            [col.get(lam, "0").ljust(w) for col, w in zip(cols, widths)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -150,12 +142,16 @@ class BasisMatrix:
         return pt.json_document({"h": str(self.h), "m": str(self.m),
                                  "columns": map(column, self.labels)})
 
+    def lines(self, fmt):
+        """The table or CSV (matrix_lines): rows DP_h(m), columns DPR_h(m),
+        decreasing lex."""
+        return matrix_lines(self, fmt, pt.format_partition, FockVector.terms)
+
     def render_table(self) -> str:
-        """Aligned text table: rows DP_h(m), columns DPR_h(m), decreasing lex."""
-        return render_table(self, pt.format_partition, FockVector.terms)
+        return "".join(self.lines("table"))
 
     def to_csv(self) -> str:
-        return render_csv(self, FockVector.terms)
+        return "".join(self.lines("csv"))
 
 
 class CanonicalBasis:

@@ -46,22 +46,25 @@ def _write(chunks):
     """Write the pieces to stdout joined into blocks of at least
     io.DEFAULT_BUFFER_SIZE characters, the last block excepted; a piece that
     long on its own is written as it is.  Unbuffered stdout (python -u) thus
-    makes one syscall per block, not one per piece."""
+    makes one syscall per block, not one per piece.  Its text layer drops
+    the rest of a write that a closed pipe cut short, unseen, so there the
+    last character goes alone: a pipe takes a write that small whole or
+    refuses it, and a reader that closed early still raises BrokenPipeError."""
     write, block, size = sys.stdout.write, [], 0
     for chunk in chunks:
-        if len(chunk) >= io.DEFAULT_BUFFER_SIZE:
-            if block:
-                write("".join(block))
-                block, size = [], 0
-            write(chunk)
-            continue
-        block.append(chunk)
-        size += len(chunk)
-        if size >= io.DEFAULT_BUFFER_SIZE:
+        if block and (size >= io.DEFAULT_BUFFER_SIZE
+                      or len(chunk) >= io.DEFAULT_BUFFER_SIZE):
             write("".join(block))
             block, size = [], 0
-    if block:
-        write("".join(block))
+        block.append(chunk)
+        size += len(chunk)
+    text = "".join(block)
+    if len(text) > 1 and isinstance(getattr(sys.stdout, "buffer", None),
+                                    io.RawIOBase):
+        write(text[:-1])
+        text = text[-1:]
+    if text:
+        write(text)
 
 
 def _emit_json(obj):
@@ -76,10 +79,8 @@ def _emit_json(obj):
 
 def _emit_matrix(M, fmt) -> int:
     """Write a BasisMatrix or ReducedMatrix as a table, CSV or JSON."""
-    if fmt == "table":
-        sys.stdout.write(M.render_table())
-    elif fmt == "csv":
-        sys.stdout.write(M.to_csv())
+    if fmt != "json":
+        _write(M.lines(fmt))
     elif isinstance(M, BasisMatrix):
         _write(M.json_chunks())
     else:
@@ -91,10 +92,7 @@ def cmd_crystal(args) -> int:
     h = _modulus(args)
     graph = crystal.component(h, pt.parse_partition(args.start),
                               args.max_degree)
-    if args.format == "dot":
-        sys.stdout.write(graph.to_dot())
-    else:
-        _write(graph.json_chunks())
+    _write([graph.to_dot()] if args.format == "dot" else graph.json_chunks())
     return 0
 
 
@@ -134,14 +132,12 @@ def cmd_ladders(args) -> int:
         })
         return 0
     # residue-and-ladder diagram, shortest row on top
-    for k in range(len(lam), 0, -1):
-        cells = [f"{pt.residue(h, c)}_{pt.ladder_index(h, k, c)}"
-                 for c in range(lam[k - 1])]
-        print(" ".join(cell.ljust(5) for cell in cells).rstrip())
-    word = []
-    for res, cnt in reversed(dec.steps):
-        word.append(f"f_{res}" + (f"^({cnt})" if cnt > 1 else ""))
-    print("monomial: " + " ".join(word) + " |0>")
+    lines = [" ".join(f"{pt.residue(h, c)}_{pt.ladder_index(h, k, c)}".ljust(5)
+                      for c in range(lam[k - 1])).rstrip() + "\n"
+             for k in range(len(lam), 0, -1)]
+    word = " ".join(f"f_{res}" + (f"^({cnt})" if cnt > 1 else "")
+                    for res, cnt in reversed(dec.steps))
+    _write(lines + [f"monomial: {word} |0>\n"])
     return 0
 
 

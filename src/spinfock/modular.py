@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .fock import FockVector
 from .laurent import _accumulate
-from .canonical import CanonicalBasis, render_csv, render_table
+from .canonical import CanonicalBasis, matrix_lines
 from . import partitions as pt
 
 
@@ -98,12 +98,17 @@ class ReducedMatrix:
             ],
         }
 
+    def lines(self, fmt):
+        """The table (rows named <3 2 1>) or CSV, one line per piece."""
+        return matrix_lines(
+            self, fmt, lambda lam: f"<{pt.format_partition(lam)[1:-1]}>",
+            dict.items)
+
     def render_table(self) -> str:
-        return render_table(
-            self, lambda lam: f"<{pt.format_partition(lam)[1:-1]}>", dict.items)
+        return "".join(self.lines("table"))
 
     def to_csv(self) -> str:
-        return render_csv(self, dict.items)
+        return "".join(self.lines("csv"))
 
 
 def reduced_matrix(p: int, m: int) -> ReducedMatrix:

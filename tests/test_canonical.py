@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 
@@ -8,7 +10,7 @@ from spinfock import canonical, laurent
 from spinfock.laurent import CoefficientBoundError, LaurentPoly, ONE, pack
 from spinfock.fock import FockVector, PackedVector
 from spinfock import partitions as pt
-from spinfock import crystal
+from spinfock import crystal, modular
 from spinfock import fixtures as fx
 from spinfock.canonical import (
     BasisMatrix,
@@ -494,9 +496,29 @@ class TestSerialization:
         M = BasisMatrix(3, 2, (), {})
         assert M.render_table() == "     \n(2)  \n"
         assert M.to_csv() == '""\n(2)\n'
+        assert list(M.lines("table")) == ["     \n", "(2)  \n"]
+        assert list(M.lines("csv")) == ['""\n', "(2)\n"]
 
     def test_csv(self):
         csv_text = canonical_basis(3, 10).to_csv()
         lines = csv_text.strip().split("\n")
         assert lines[0] == ",(5 4 1),(5 3 2),(4 3 2 1),(3 3 3 1)"
         assert len(lines) == 13
+        # the CSV is written unquoted: csv.reader gives back every label and
+        # cell text, and table and CSV both make one piece per line
+        for h in (3, 5):
+            solver = CanonicalBasis(h)
+            for m in range(13):
+                M = solver.matrix(m)
+                for X in (M, modular.ReducedMatrix.of(M)):
+                    header, *body = csv.reader(io.StringIO(X.to_csv()))
+                    assert header == ["", *map(pt.format_partition, X.labels)]
+                    rows = X.row_labels()
+                    assert body == [[pt.format_partition(lam)] +
+                                    [str(X.entry(lam, mu)) for mu in X.labels]
+                                    for lam in rows]
+                    for fmt in ("table", "csv"):
+                        pieces = list(X.lines(fmt))
+                        assert len(pieces) == len(rows) + 1
+                        assert all(p.count("\n") == 1 and p.endswith("\n")
+                                   for p in pieces)

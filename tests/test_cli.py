@@ -392,6 +392,15 @@ class TestClosedPipe:
         self.check_closed_after(2, "decomp", "--p", "3", "--m", "25",
                                 "--format", "json")
 
+    @pytest.mark.parametrize("argv", [
+        ("canonical", "--n", "1", "--m", "25", "--format", "table"),
+        ("decomp", "--p", "3", "--m", "25", "--format", "csv"),
+        ("crystal", "--n", "2", "--max-degree", "36", "--format", "dot"),
+    ], ids=["table", "csv", "dot"])
+    def test_text_formats_quiet_exit_141(self, argv):
+        # streamed lines, or DOT as one piece, closed like `| head -2`
+        self.check_closed_after(2, *argv)
+
     @staticmethod
     def check_closed_after(lines, *argv):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -485,6 +494,25 @@ class TestBlockWriter:
         assert out.getvalue() == "".join(chunks)
         per_block = -(-BLOCK // 100)        # pieces until a block is full
         assert out.writes == -(-300 // per_block)
+
+    def test_unbuffered_stdout_ends_with_one_character(self, monkeypatch):
+        # under python -u, stdout's text layer drops the rest of a write that
+        # a closed pipe cut short; a pipe takes a one-character write whole
+        class RawStdout(CountingStdout):
+            buffer = io.RawIOBase()
+
+            def write(self, text):
+                self.last = text
+                return super().write(text)
+
+        for chunks in (["a" * BLOCK], ["b", "c" * (3 * BLOCK), "dd"], ["e"],
+                       ["f" * 100] * 300):
+            out = RawStdout()
+            monkeypatch.setattr(sys, "stdout", out)
+            _write(iter(chunks))
+            assert out.getvalue() == "".join(chunks)
+            assert len(out.last) == 1
+            assert out.writes <= len(chunks) + 1
 
     def test_crystal_json_writes_per_block(self, monkeypatch):
         out = CountingStdout()

@@ -54,6 +54,22 @@ def test_perfbench_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_writes_stdout_in_one_place():
+    # every stdout byte goes through cli._write; print is for stderr only
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    writer = next(node for node in tree.body
+                  if getattr(node, "name", None) == "_write")
+    writes = [node for node in ast.walk(tree)
+              if ast.unparse(node) == "sys.stdout.write"]
+    assert len(writes) == 1
+    assert writes[0] in list(ast.walk(writer))
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "print"]
+    assert prints
+    assert all(any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                   for k in node.keywords) for node in prints)
+
+
 def _readme_section(heading):
     text = (ROOT / "README.md").read_text()
     start = text.index("\n## " + heading + "\n")
