@@ -218,8 +218,8 @@ class CanonicalBasis:
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
         cells = {}
         col = self._matrices[sum(nu)].columns[nu]
-        for lam, c in zip(col.rows, col.entries):
-            add_scaled(cells, c, memo(res, cnt, lam), b)
+        image = functools.partial(memo, res, cnt)
+        add_scaled(cells, zip(col.entries, map(image, col.rows)), b)
         return cells
 
     def _solve_degree(self, m: int) -> BasisMatrix:
@@ -240,11 +240,10 @@ class CanonicalBasis:
             block = blocks.setdefault(content, [])
             cells = self._intermediate(mu, memo)
             for s in reversed(block):           # lex-greater, increasing lex
-                if s in cells:
-                    gamma = symmetrize_tail(unpack(cells[s], b, s))
-                    if gamma:
-                        add_scaled(cells, pack(-gamma, b),
-                                   zip(done[s].rows, done[s].entries), b)
+                if s in cells and not laurent.in_qzq(cells[s], b):
+                    gamma = symmetrize_tail(unpack(cells[s], b, s))  # nonzero
+                    add_scaled(cells, [(pack(-gamma, b), zip(
+                        done[s].rows, done[s].entries))], b)
             vec = PackedVector(freeze(cells, b, self._keys, self._values), b)
             self._validate_column(mu, vec, m)
             block.append(mu)

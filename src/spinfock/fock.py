@@ -259,8 +259,9 @@ def _f_raw(h, i, n, terms, b) -> dict:
     """f_i on {label: (e0, x, n)} packed at width b; returns a new map of
     cells at that width.
 
-    Term k of the action raises letter k by one and twists every later
-    letter (and the vacuum) by t_i; for i = n an extra term appends a part 1
+    Term k of the action raises letter k by one and twists it by t_i of
+    every later letter and of the vacuum: one right-to-left pass per label
+    sums that exponent as it goes.  For i = n an extra term appends a part 1
     coming from the vacuum, which vanishes on a last part 1.  Each raised
     word is normal-ordered by the local rule of `_raised`, so every label
     of `terms` must be a DP_h label.
@@ -268,17 +269,14 @@ def _f_raw(h, i, n, terms, b) -> dict:
     hit, t_exp = _color_tables(h, i)
     out = {}
     for lam, c in terms.items():
-        r = len(lam)
-        # suffix[k] = t-exponent collected strictly right of position k
-        suffix = [0] * (r + 1)
-        suffix[r] = 1 if i == n else 0
-        for k in range(r - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + t_exp[lam[k] % h]
-        for k, j in enumerate(lam):
-            if hit[j % h]:
-                _add_term(out, _raised(h, lam, k), c,
-                          suffix[k + 1], i == n and j % h == 0, b)
-        if i == n and (not r or lam[-1] != 1):
+        suffix = 1 if i == n else 0     # the vacuum's t_i
+        for k in range(len(lam) - 1, -1, -1):
+            j = lam[k] % h
+            if hit[j]:
+                _add_term(out, _raised(h, lam, k), c, suffix,
+                          i == n and j == 0, b)
+            suffix += t_exp[j]
+        if i == n and (not lam or lam[-1] != 1):
             _add_term(out, (lam + (1,), 0), c, 0, False, b)
     return out
 

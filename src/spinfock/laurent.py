@@ -3,8 +3,9 @@
 LaurentPoly is a sparse {exponent: nonzero int} map of plain ints.  pack,
 packed_terms, unpack and exact_quotient hold a polynomial as (e0, x, n) at
 a digit width b, first DIGIT_BITS (README, "Design"); a column under
-construction is a plain dict of cells [e0, x, n] that add_scaled sums into
-and freeze normalizes.  Each decoder, freeze included, raises
+construction is a plain dict of cells [e0, x, n] that add_scaled sums a
+column's (scalar, terms) pairs into, in_qzq places in qZ[q] without
+decoding, and freeze normalizes.  Each decoder, freeze included, raises
 CoefficientBoundError once the carried bound n reaches 2^(b-1), and never
 guesses.
 """
@@ -242,11 +243,12 @@ def exact_quotient(c, d, b: int, row=None) -> tuple:
     return e - d0, quo, sum(map(abs, digits))
 
 
-def add_scaled(cells, scalar, terms, b) -> None:
-    """cells[key] += scalar * c for every (key, c) in terms, at width b."""
-    s0, sx, sn = scalar
-    for key, (e, x, n) in terms:
-        _add_cell(cells, key, e + s0, sx * x, sn * n, b)
+def add_scaled(cells, pairs, b) -> None:
+    """cells[key] += scalar * c for every (key, c) of terms, for every
+    (scalar, terms) in pairs, all packed at width b."""
+    for (s0, sx, sn), terms in pairs:
+        for key, (e, x, n) in terms:
+            _add_cell(cells, key, e + s0, sx * x, sn * n, b)
 
 
 def _add_cell(cells, key, e, x, n, b):
@@ -295,6 +297,15 @@ def freeze(cells, b, keys=None, values=None) -> dict:
                     values[e, x] = entry
             out[key] = entry
     return out
+
+
+def in_qzq(cell, b) -> bool:
+    """Whether the cell (e0, x, n) at width b lies in qZ[q] (symmetrize_tail
+    of it is 0) undecoded: n < 2^(b-1), so its digits are its coefficients,
+    and x is 0 or its lowest digit (freeze's rule) has an exponent >= 1."""
+    e, x, n = cell
+    return n < 1 << (b - 1) and (not x or
+                                 e + ((x & -x).bit_length() - 1) // b >= 1)
 
 
 def _accumulate(out, key, value):

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spinfock.laurent import (
     DIGIT_BITS,
@@ -14,6 +14,7 @@ from spinfock.laurent import (
     add_scaled,
     exact_quotient,
     freeze,
+    in_qzq,
     pack,
     unpack,
     ONE,
@@ -190,17 +191,30 @@ class TestSymmetrizeTail:
         assert not in_q_z_of_q(c - (g + delta))
 
 
-class TestPackedCells:
-    """add_scaled and freeze on a dict of cells against LaurentPoly
-    arithmetic."""
+keyed = st.lists(st.tuples(st.sampled_from("abc"), polys), max_size=4)
+scaled = st.lists(st.tuples(polys, keyed), max_size=4)
 
-    @given(st.lists(st.tuples(polys, st.sampled_from("abc"), polys), max_size=6))
-    def test_matches_poly_arithmetic(self, products):
+
+class TestPackedCells:
+    """add_scaled on (scalar, terms) pairs, and freeze, on a dict of cells
+    against LaurentPoly arithmetic."""
+
+    @given(scaled, scaled)
+    @example([], [(poly({1: 1}), [])])
+    @example([(poly({-2: 3}), [])], [])
+    def test_matches_poly_arithmetic(self, first, second):
+        # two calls, the second summing into cells the first made; the
+        # pairs and each terms are one-shot iterators, as the solver's are
         cells = {}
         expected = {}
-        for scalar, key, p in products:
-            add_scaled(cells, pack(scalar, B), [(key, pack(p, B))], B)
-            expected[key] = expected.get(key, ZERO) + scalar * p
+        for pairs in (first, second):
+            add_scaled(cells, ((pack(scalar, B),
+                                ((key, pack(p, B)) for key, p in terms))
+                               for scalar, terms in pairs), B)
+            for scalar, terms in pairs:
+                for key, p in terms:
+                    expected[key] = expected.get(key, ZERO) + scalar * p
+        assert set(cells) <= set(expected)
         for key in "abc":
             got = unpack(cells[key], B) if key in cells else ZERO
             assert got == expected.get(key, ZERO)
@@ -212,11 +226,12 @@ class TestPackedCells:
                    for k, (e0, _, _) in frozen.items())
 
     def test_cancellation_is_pruned(self):
+        # one call whose second pair cancels the first pair's "a"
         cells = {}
         p = poly({-1: 2, 3: 1})
-        add_scaled(cells, pack(ONE, B),
-                   [("a", pack(p, B)), ("b", pack(ONE, B))], B)
-        add_scaled(cells, pack(-ONE, B), [("a", pack(p, B))], B)
+        add_scaled(cells, [(pack(ONE, B), [("a", pack(p, B)),
+                                           ("b", pack(ONE, B))]),
+                           (pack(-ONE, B), [("a", pack(p, B))])], B)
         assert unpack(cells["a"], B) == ZERO
         assert freeze(cells, B) == {"b": (0, 1, 1)}
 
@@ -289,6 +304,44 @@ class TestPacked:
         fact = pack(q_factorial(2, 1, 1), B)
         with pytest.raises(CoefficientBoundError, match="row x"):
             exact_quotient((0, fact[1], HALF), fact, B, "x")
+
+
+class TestInQZq:
+    """in_qzq, the solver's undecoded test that symmetrize_tail is 0, on
+    unnormalized cells: low zero digits, any e0, x = 0 and negative x."""
+
+    @pytest.mark.parametrize("b", [B, 4])
+    @given(data=st.data())
+    def test_says_skip_exactly_when_the_tail_is_zero(self, b, data):
+        half = 1 << (b - 1)
+        digit = (st.integers(-half, half - 1) if b < 8 else
+                 st.one_of(st.integers(-9, 9),
+                           st.sampled_from([-half, half - 1])))
+        e0 = data.draw(st.integers(-6, 6))
+        digits = data.draw(st.lists(digit, max_size=6))
+        slack = data.draw(st.integers(0, 2))
+        cell = [e0, sum(d << (b * k) for k, d in enumerate(digits)),
+                sum(map(abs, digits)) + slack]
+        if cell[2] < half:
+            tail = symmetrize_tail(unpack(cell, b))
+            assert in_qzq(cell, b) == (tail == ZERO)
+        else:
+            assert not in_qzq(cell, b)
+            with pytest.raises(CoefficientBoundError):
+                unpack(cell, b)
+
+    @pytest.mark.parametrize("b", [B, 4])
+    def test_never_skips_at_the_bound(self, b):
+        # q^5, q and 0 lie in qZ[q], but a bound at 2^(b-1) leaves their
+        # digits unread, so the solver decodes them and unpack refuses
+        half = 1 << (b - 1)
+        for cell in ([5, 1, half], [0, 1 << b, half + 3], [2, 0, half]):
+            assert not in_qzq(cell, b)
+            with pytest.raises(CoefficientBoundError):
+                unpack(cell, b)
+        assert in_qzq([5, 1, half - 1], b)          # q^5
+        assert in_qzq([0, 1 << b, 1], b)            # q, a low zero digit
+        assert not in_qzq([-1, 1 << b, 1], b)       # 1, a low zero digit
 
 
 class TestEvalAndJson:

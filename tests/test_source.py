@@ -70,6 +70,29 @@ def test_cli_writes_stdout_in_one_place():
                    for k in node.keywords) for node in prints)
 
 
+def test_one_cell_accumulator():
+    # packed cells [e0, x, n] are summed in one place, laurent._add_cell:
+    # no other function writes into a cell (cell[...] = or +=) or into a
+    # dict of cells (cells[...] =), so no copy of its body creeps in
+    cell = re.compile(r"cells?(\[.*\])?")
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, ast.AugAssign)
+                           else [])
+                writers.update(
+                    f"{path.stem}.{func.name}" for target in targets
+                    for sub in ast.walk(target)
+                    if isinstance(sub, ast.Subscript)
+                    and cell.fullmatch(ast.unparse(sub.value)))
+    assert writers == {"laurent._add_cell"}
+
+
 def _readme_section(heading):
     text = (ROOT / "README.md").read_text()
     start = text.index("\n## " + heading + "\n")
