@@ -289,24 +289,17 @@ def canonical_basis(h: int, m: int) -> BasisMatrix:
 
 
 @dataclass(frozen=True)
-class BasisCheck:
-    column: tuple
-    condition: str
-    witness: str
-
-
-@dataclass(frozen=True)
 class BasisMatrixReport:
     h: int
     m: int
     ok: bool
-    failures: tuple
+    failures: tuple                     # (column, condition, witness) triples
 
     def __str__(self):
         if self.ok:
             return f"basis matrix h={self.h} m={self.m}: all checks pass"
-        body = "; ".join(f"{c.column} {c.condition} ({c.witness})"
-                         for c in self.failures)
+        body = "; ".join(f"{mu} {condition} ({witness})"
+                         for mu, condition, witness in self.failures)
         return f"basis matrix h={self.h} m={self.m}: FAIL {body}"
 
 
@@ -315,11 +308,9 @@ def check_basis_matrix(M: BasisMatrix) -> BasisMatrixReport:
     failures = []
     expected = tuple(pt.enumerate_dpr_h(M.h, M.m))
     if M.labels != expected:
-        failures.append(BasisCheck((), "label-set",
-                                   f"{M.labels} != DPR_{M.h}({M.m})"))
+        failures.append(((), "label-set", f"{M.labels} != DPR_{M.h}({M.m})"))
     content_of = functools.partial(pt.residue_content, M.h)   # no solver cache
     for mu in M.labels:
-        for condition, witness in column_failures(mu, M.columns[mu], M.m,
-                                                  content_of):
-            failures.append(BasisCheck(mu, condition, witness))
+        failures += ((mu, *failure) for failure in column_failures(
+            mu, M.columns[mu], M.m, content_of))
     return BasisMatrixReport(M.h, M.m, not failures, tuple(failures))

@@ -37,9 +37,11 @@ def _add_modulus_args(parser):
 
 
 def _modulus(args) -> int:
-    h = 2 * args.n + 1 if args.n is not None else args.p
-    pt.check_h(h)
-    return h
+    if args.n is None:
+        return pt.check_h(args.p)
+    if args.n < 1:
+        raise ValueError(f"rank n must be >= 1, got {args.n}")
+    return 2 * args.n + 1
 
 
 def _write(chunks):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 
 
 class InvariantError(RuntimeError):
@@ -160,7 +161,6 @@ def ladder_index(h: int, row: int, column: int) -> int:
 class LadderDecomposition:
     """Occupied ladders of a partition, in peeling (increasing index) order."""
 
-    h: int
     partition: tuple
     indices: tuple          # occupied ladder indices, increasing
     steps: tuple            # parallel (residue, cell_count) pairs
@@ -185,7 +185,7 @@ def ladders(h: int, lam) -> LadderDecomposition:
                 found[idx] = (res, 1)
     indices = tuple(sorted(found))
     steps = tuple(found[i] for i in indices)
-    return LadderDecomposition(h, lam, indices, steps)
+    return LadderDecomposition(lam, indices, steps)
 
 
 def remove_outer_ladder(h: int, lam) -> tuple:
@@ -218,29 +218,20 @@ def b_exponent(lam) -> int:
 
 
 def dominance_leq(lam, mu) -> bool:
-    """Partial-sum order: lam <= mu in dominance.  Degrees must agree."""
-    if sum(lam) != sum(mu):
+    """Partial-sum order: lam <= mu in dominance.  Degrees must agree, so
+    past its last part a partial sum stays at the degree."""
+    m = sum(lam)
+    if m != sum(mu):
         raise ValueError(f"dominance needs equal degree: {lam} vs {mu}")
-    r = max(len(lam), len(mu))
-    a = b = 0
-    for i in range(r):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a > b:
-            return False
-    return True
+    return all(a <= b for a, b in zip_longest(accumulate(lam), accumulate(mu),
+                                              fillvalue=m))
 
 
 def shift_by_multiple(h: int, lam, mu) -> tuple:
     """Componentwise lam_i + h*mu_i, zero-padding the shorter argument."""
     check_h(h)
-    r = max(len(lam), len(mu))
-    out = []
-    for i in range(r):
-        a = lam[i] if i < len(lam) else 0
-        b = mu[i] if i < len(mu) else 0
-        out.append(a + h * b)
-    return check_partition(out)
+    return check_partition([a + h * b
+                            for a, b in zip_longest(lam, mu, fillvalue=0)])
 
 
 def parse_partition(text: str) -> tuple:

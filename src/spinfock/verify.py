@@ -397,8 +397,7 @@ def run_property_suite(max_degree: int = 9, seed: int = 0) -> Report:
 
 
 def run_suite(name: str, max_degree: int = 9, seed: int = 0) -> Report:
-    if max_degree < 0:
-        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+    pt.check_degree(max_degree)
     if name == "paper":
         return run_paper_suite()
     if name == "properties":

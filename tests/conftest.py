@@ -6,6 +6,10 @@ calling the package, so a bug cannot hide on both sides of a comparison.
 
 from __future__ import annotations
 
+import functools
+import math
+from fractions import Fraction
+
 import pytest
 
 
@@ -131,6 +135,65 @@ def oracle_count_odd_parts(p, m):
                 total += count(rem - part, part)
         return total
     return count(m, m)
+
+
+def _power_sum_product(f, g):
+    """Product of two {odd-part partition: Fraction} power-sum expansions."""
+    out = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            key = tuple(sorted(a + b))
+            out[key] = out.get(key, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+@functools.cache
+def _schur_q_row(r):
+    """q_r = sum over odd-part partitions pi of r of 2^len(pi) / z_pi p_pi
+    (Macdonald III.8), keyed by pi as an increasing tuple."""
+    out = {}
+    for pi in brute_partitions(r):
+        if all(part % 2 for part in pi):
+            z = 1
+            for part in set(pi):
+                k = pi.count(part)
+                z *= part ** k * math.factorial(k)
+            out[pi] = Fraction(2 ** len(pi), z)
+    return out
+
+
+@functools.cache
+def _schur_q_pair(r, s):
+    """Q_(r,s) = q_r q_s + 2 sum_{i=1..s} (-1)^i q_(r+i) q_(s-i), r > s."""
+    out = _power_sum_product(_schur_q_row(r), _schur_q_row(s))
+    for i in range(1, s + 1):
+        term = _power_sum_product(_schur_q_row(r + i), _schur_q_row(s - i))
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + 2 * (-1) ** i * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _pfaffian(parts):
+    """Pfaffian of [Q_(parts_i, parts_j)], expanded along the first row."""
+    if not parts:
+        return {(): Fraction(1)}
+    out = {}
+    for j in range(1, len(parts)):
+        rest = parts[1:j] + parts[j + 1:]
+        term = _power_sum_product(_schur_q_pair(parts[0], parts[j]),
+                                  _pfaffian(rest))
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + (-1) ** (j + 1) * v
+    return {k: v for k, v in out.items() if v}
+
+
+@functools.cache
+def oracle_schur_p(lam):
+    """Schur's P_lam in odd power sums, exactly over Fraction: the Pfaffian
+    Q_lam of Q_(lam_i, lam_j), lam strict and padded to even length with 0,
+    then P_lam = 2^-len(lam) Q_lam (Macdonald, Symmetric Functions, III.8)."""
+    parts = tuple(lam) + (0,) * (len(lam) % 2)
+    return {k: v / 2 ** len(lam) for k, v in _pfaffian(parts).items()}
 
 
 @pytest.fixture

@@ -148,8 +148,8 @@ class TestMatrixChecks:
             broken[mu] = broken[mu] + FockVector.basis(row).scaled(LaurentPoly(poly))
             rep = check_basis_matrix(BasisMatrix(3, 7, M.labels, broken))
             assert not rep.ok
-            assert (mu, condition) in {(c.column, c.condition)
-                                       for c in rep.failures}, condition
+            assert (mu, condition) in {(col, cond)
+                                       for col, cond, _ in rep.failures}, condition
 
     def test_solver_rejects_bad_column(self):
         solver = CanonicalBasis(3)

@@ -274,7 +274,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", suite,
                              "--max-degree", "-1")
         assert (code, out) == (2, "")
-        assert err == "error: max degree must be nonnegative, got -1\n"
+        assert err == "error: degree must be nonnegative, got -1\n"
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -289,6 +289,12 @@ class TestVerifyCommand:
     def test_even_modulus_rejected(self, capsys):
         code, _, err = run(capsys, "canonical", "--p", "4", "--m", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rank_below_one_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "canonical", "--n", n, "--m", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: rank n must be >= 1, got {n}\n"
 
     @pytest.mark.parametrize("argv", [
         ("canonical", "--n", "1", "--m", "8"),
@@ -403,18 +409,23 @@ class TestClosedPipe:
 
     @staticmethod
     def check_closed_after(lines, *argv):
+        # once with stdout buffered, once unbuffered: PYTHONUNBUFFERED=1
+        # turns each stdout write into a syscall, so the block writer's
+        # writes meet the closed pipe one by one
         src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "spinfock.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        for _ in range(lines):
-            proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 141
-        assert err == b""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "spinfock.cli", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**env, **extra})
+            for _ in range(lines):
+                proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (proc.wait(timeout=60), err) == (141, b""), extra
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ from spinfock import modular
 from spinfock import verify
 from spinfock.canonical import CanonicalBasis, canonical_basis
 from spinfock.fock import FockVector, apply_f, apply_e
-from conftest import oracle_hbar_core
+from conftest import oracle_hbar_core, oracle_schur_p
 
 
 class TestGhostsAndSigns:
@@ -148,6 +148,37 @@ class TestBlockTheorem:
                     assert col == {mu: 1}, (p, mu, col)
                     found += 1
         assert found == defect_zero             # the empty label included
+
+
+class TestBasicModuleOracle:
+    """At q = 1 the basic module is the subring Q[p_j : j odd, p does not
+    divide j] of the span of Schur's P-functions.  classical_image sends a
+    label lam to 2^-a_p(lam) P_lam, so every column G(mu), written in odd
+    power sums, has no term p_pi with a part of pi divisible by p (a
+    projective character vanishes on p-singular classes).  The P-functions
+    come from conftest's Pfaffian oracle, which shares no code with the
+    solver or residue_content."""
+
+    def test_oracle_pins(self):
+        # P_(2,1) = s_(2,1) = (p_1^3 - p_3)/3 and P_(3) = (2 p_1^3 + p_3)/3
+        third = Fraction(1, 3)
+        assert oracle_schur_p((2, 1)) == {(1, 1, 1): third, (3,): -third}
+        assert oracle_schur_p((3,)) == {(1, 1, 1): 2 * third, (3,): third}
+
+    @pytest.mark.parametrize("p, max_m", [(3, 20), (5, 16), (7, 16)])
+    def test_columns_lie_in_the_basic_module(self, p, max_m):
+        solver = CanonicalBasis(p)
+        for m in range(max_m + 1):
+            M = solver.matrix(m)
+            for mu in M.labels:
+                total = {}
+                for lam, c in modular.classical_image(p, M.columns[mu]).items():
+                    for pi, v in oracle_schur_p(lam).items():
+                        total[pi] = total.get(pi, 0) + c * v
+                total = {pi: v for pi, v in total.items() if v}
+                assert total, (p, mu)
+                bad = [pi for pi in total if any(j % p == 0 for j in pi)]
+                assert not bad, (p, mu, bad[:3])
 
 
 class TestExternalReduction:
