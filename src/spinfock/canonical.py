@@ -13,7 +13,7 @@ ladder monomial of mu applied to the vacuum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from operator import ge
 
@@ -78,19 +78,18 @@ def matrix_lines(M, fmt, row_name, items):
             [col.get(lam, "0").ljust(w) for col, w in zip(cols, widths)]) + "\n"
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
-    """Columns of the canonical basis at one degree, decreasing lex order."""
+class BasisMatrix(namedtuple("BasisMatrix", "h m labels columns")):
+    """Columns of the canonical basis at one degree, decreasing lex order:
+    labels is DPR_h(m) in decreasing lex, columns maps each label to its
+    FockVector."""
 
-    h: int
-    m: int
-    labels: tuple                       # DPR_h(m), decreasing lex
-    columns: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if set(self.labels) != set(self.columns):
-            raise ValueError(f"basis matrix h={self.h} m={self.m}: labels "
+    def __new__(cls, h, m, labels, columns):
+        if set(labels) != set(columns):
+            raise ValueError(f"basis matrix h={h} m={m}: labels "
                              f"and column keys differ")
+        return super().__new__(cls, h, m, labels, columns)
 
     def row_labels(self) -> list:
         return pt.enumerate_dp_h(self.h, self.m)
@@ -288,12 +287,11 @@ def canonical_basis(h: int, m: int) -> BasisMatrix:
     return CanonicalBasis(h).matrix(m)
 
 
-@dataclass(frozen=True)
-class BasisMatrixReport:
-    h: int
-    m: int
-    ok: bool
-    failures: tuple                     # (column, condition, witness) triples
+class BasisMatrixReport(namedtuple("BasisMatrixReport", "h m ok failures")):
+    """Outcome of check_basis_matrix; failures holds (column, condition,
+    witness) triples."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.ok:

@@ -14,7 +14,7 @@ read from one cached row per (h, i), built once by `_walk`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import partitions as pt
 
@@ -105,14 +105,11 @@ _P4, _P6 = "\n" + " " * 4, "\n" + " " * 6
 _EDGE = '{%s"from": %%s,%s"color": %%d,%s"to": %%s\n    }' % ((_P6,) * 3)
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
-    """Finite piece of a colored crystal: degree-raising edges only."""
+class CrystalGraph(namedtuple("CrystalGraph", "h max_degree vertices edges")):
+    """Finite piece of a colored crystal: degree-raising edges only, as
+    (source, color, target) triples."""
 
-    h: int
-    max_degree: int
-    vertices: tuple
-    edges: tuple            # (source, color, target) triples
+    __slots__ = ()
 
     def vertices_of_degree(self, m: int) -> list:
         return [v for v in self.vertices if sum(v) == m]

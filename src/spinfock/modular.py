@@ -8,10 +8,8 @@ to the same columns.  Character vectors are {strict partition: int} dicts.
 
 from __future__ import annotations
 
-import csv
 import io
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .fock import FockVector
 from .laurent import _accumulate
@@ -53,14 +51,10 @@ def strip_two_power(cv: dict) -> dict:
     return {lam: v >> k for lam, v in cv.items()}
 
 
-@dataclass(frozen=True)
-class ReducedMatrix:
+class ReducedMatrix(namedtuple("ReducedMatrix", "p m labels columns")):
     """Columns over DPR_p(m), rows over all strict partitions of m."""
 
-    p: int
-    m: int
-    labels: tuple
-    columns: dict
+    __slots__ = ()
 
     @classmethod
     def of(cls, M) -> ReducedMatrix:
@@ -154,6 +148,7 @@ def reduce_external_matrix(text: str, p: int) -> ReducedMatrix:
     with no header or no rows is reported as inconsistent data
     (ValueError).
     """
+    import csv      # only this reader needs it; not loaded at start-up
     pt.check_h(p)
     lines = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
     if not lines:
@@ -245,6 +240,7 @@ def classical_image(p: int, vec: FockVector) -> dict:
     divided by 2^b(lam), so a strict label lam maps to 2^(-a_p(lam)) P_lam
     and a ghost to zero.  Coefficients are exact Fractions.
     """
+    from fractions import Fraction      # not loaded at start-up
     return {lam: Fraction(value, 2 ** pt.b_exponent(lam))
             for lam, value in character_image(p, vec).items()}
 

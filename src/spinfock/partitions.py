@@ -9,7 +9,7 @@ diagrams are 0-indexed, rows 1-indexed from the longest part.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, zip_longest
 
 
@@ -157,13 +157,13 @@ def ladder_index(h: int, row: int, column: int) -> int:
     return g + (row - 1) * (h - 1) + 1
 
 
-@dataclass(frozen=True)
-class LadderDecomposition:
-    """Occupied ladders of a partition, in peeling (increasing index) order."""
+class LadderDecomposition(namedtuple("LadderDecomposition",
+                                     "partition indices steps")):
+    """Occupied ladders of a partition, in peeling (increasing index) order:
+    indices are the occupied ladder indices, increasing, and steps the
+    parallel (residue, cell_count) pairs."""
 
-    partition: tuple
-    indices: tuple          # occupied ladder indices, increasing
-    steps: tuple            # parallel (residue, cell_count) pairs
+    __slots__ = ()
 
 
 def ladders(h: int, lam) -> LadderDecomposition:

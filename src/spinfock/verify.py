@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .laurent import LaurentPoly, generator_scale
@@ -24,18 +24,14 @@ from . import modular
 from . import fixtures as fx
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    results: tuple
-    exports: dict | None = None     # data for external tables; not `paper`
+class Report(namedtuple("Report", "suite results exports", defaults=(None,))):
+    """Results of one suite; exports holds data for external tables (not
+    for `paper`)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -167,6 +167,12 @@ class TestMatrixChecks:
         with pytest.raises(ValueError, match="h=3 m=6"):
             BasisMatrix(3, 6, M.labels, missing)
 
+    def test_matrix_is_immutable(self):
+        M = canonical_basis(3, 6)
+        with pytest.raises(AttributeError):
+            M.h = 5
+        assert repr(M).startswith("BasisMatrix(h=3, m=6, labels=((4, 2), ")
+
 
 class TestFastSlow:
     @pytest.mark.parametrize("h", [3, 5, 7, 9])

@@ -54,6 +54,21 @@ def test_perfbench_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_no_unused_stdlib_module():
+    # every command pays for what `import spinfock.cli` loads: record types
+    # are named tuples, and a module one path needs is imported in that
+    # function.  A banned list, since what `site` preloads varies by version
+    banned = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
+    code = ("import sys; sys.path[:0] = ['src']; before = set(sys.modules); "
+            "import spinfock.cli; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "spinfock.cli" in added
+    assert not banned & added
+
+
 def test_cli_writes_stdout_in_one_place():
     # every stdout byte goes through cli._write; print is for stderr only
     tree = ast.parse((PACKAGE / "cli.py").read_text())
