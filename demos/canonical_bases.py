@@ -18,10 +18,7 @@ H = 3
 
 # the ladder monomial that builds the intermediate vector
 mu = (3, 3, 2, 1)
-word = " ".join(
-    f"f_{res}" + (f"^({cnt})" if cnt > 1 else "")
-    for res, cnt in reversed(ladders(H, mu).steps))
-print(f"A{format_partition(mu)} = {word} |0>")
+print(f"A{format_partition(mu)} = {ladders(H, mu).monomial()} |0>")
 A = a_vector(H, mu)
 print(f"A{format_partition(mu)} = {A!r}\n")
 

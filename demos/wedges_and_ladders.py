@@ -25,9 +25,7 @@ for row in range(len(lam), 0, -1):
     print("  " + " ".join(cell.ljust(4) for cell in cells))
 dec = ladders(h, lam)
 print(f"{len(dec.indices)} ladders; the 7th has residue/count {dec.steps[6]}")
-word = " ".join(f"f_{r}" + (f"^({c})" if c > 1 else "")
-                for r, c in reversed(dec.steps))
-print(f"monomial: {word} |0>\n")
+print(f"monomial: {dec.monomial()} |0>\n")
 
 print("weights and the diagonal form at h=3:")
 for lam in ((5, 4, 1), (3, 3, 3, 1), (3, 3)):

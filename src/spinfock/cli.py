@@ -17,7 +17,7 @@ import sys
 from . import partitions as pt
 from . import crystal
 from . import modular
-from .canonical import BasisMatrix, CanonicalBasis, CanonicalBasisError
+from .canonical import CanonicalBasis, CanonicalBasisError
 from .fock import UncoveredDisorderError
 from .laurent import CoefficientBoundError, ExactDivisionError
 
@@ -79,17 +79,6 @@ def _emit_json(obj):
         else text(val, "\n  ") for k, val in obj.items()}))
 
 
-def _emit_matrix(M, fmt) -> int:
-    """Write a BasisMatrix or ReducedMatrix as a table, CSV or JSON."""
-    if fmt != "json":
-        _write(M.lines(fmt))
-    elif isinstance(M, BasisMatrix):
-        _write(M.json_chunks())
-    else:
-        _emit_json(M.to_json())
-    return 0
-
-
 def cmd_crystal(args) -> int:
     h = _modulus(args)
     graph = crystal.component(h, pt.parse_partition(args.start),
@@ -101,14 +90,18 @@ def cmd_crystal(args) -> int:
 def cmd_canonical(args) -> int:
     h = _modulus(args)
     # no name holds the solver, so its lower degrees are freed before writing
-    return _emit_matrix(CanonicalBasis(h, fast=not args.slow).matrix(args.m),
-                        args.format)
+    M = CanonicalBasis(h, fast=not args.slow).matrix(args.m)
+    _write(M.json_chunks() if args.format == "json" else M.lines(args.format))
+    return 0
 
 
 def cmd_decomp(args) -> int:
     p = _modulus(args)
     R = modular.reduced_matrix(p, args.m)
-    _emit_matrix(R, args.format)
+    if args.format == "json":
+        _emit_json(R.to_json())
+    else:
+        _write(R.lines(args.format))
     negative = R.negative_entries()
     if negative:
         lam, mu = negative[0]
@@ -137,9 +130,7 @@ def cmd_ladders(args) -> int:
     lines = [" ".join(f"{pt.residue(h, c)}_{pt.ladder_index(h, k, c)}".ljust(5)
                       for c in range(lam[k - 1])).rstrip() + "\n"
              for k in range(len(lam), 0, -1)]
-    word = " ".join(f"f_{res}" + (f"^({cnt})" if cnt > 1 else "")
-                    for res, cnt in reversed(dec.steps))
-    _write(lines + [f"monomial: {word} |0>\n"])
+    _write(lines + [f"monomial: {dec.monomial()} |0>\n"])
     return 0
 
 

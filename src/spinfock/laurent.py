@@ -5,9 +5,9 @@ packed_terms, unpack and exact_quotient hold a polynomial as (e0, x, n) at
 a digit width b, first DIGIT_BITS (README, "Design"); a column under
 construction is a plain dict of cells [e0, x, n] that add_scaled sums a
 column's (scalar, terms) pairs into, in_qzq places in qZ[q] without
-decoding, and freeze normalizes.  Each decoder, freeze included, raises
-CoefficientBoundError once the carried bound n reaches 2^(b-1), and never
-guesses.
+decoding, and freeze normalizes.  Each decoder, freeze and exact_quotient
+included, raises CoefficientBoundError once the carried bound n reaches
+2^(b-1), and never guesses; no packed function does LaurentPoly arithmetic.
 """
 
 from __future__ import annotations
@@ -224,9 +224,9 @@ def exact_quotient(c, d, b: int, row=None) -> tuple:
     Integer divisibility alone proves nothing about the polynomials, so the
     quotient's digits are checked too: if every |coefficient of c| and
     max|digit of Q| * ||d||_1 lie below 2^(b-1), then d * Q and c have
-    the same small-digit encoding and so are equal.  When the quotient
-    check fails, LaurentPoly.exact_div decides.  A remainder, either way,
-    raises ExactDivisionError.
+    the same small-digit encoding and so are equal.  A quotient whose
+    digits cannot prove this raises CoefficientBoundError, like every other
+    packed read, and a remainder raises ExactDivisionError.
     """
     e, x, n = c
     d0, y, dn = d
@@ -238,8 +238,9 @@ def exact_quotient(c, d, b: int, row=None) -> tuple:
         raise ExactDivisionError(f"{unpack(c, b)} is not divisible by "
                                  f"{unpack(d, b)}")
     digits = _digits(quo, b)
-    if max(map(abs, digits), default=0) * dn >= half:
-        return pack(unpack(c, b).exact_div(unpack(d, b)), b)
+    bound = max(map(abs, digits), default=0) * dn
+    if bound >= half:
+        raise CoefficientBoundError(bound, row, b)
     return e - d0, quo, sum(map(abs, digits))
 
 
@@ -351,6 +352,9 @@ def q_integer(k: int, i: int, n: int) -> LaurentPoly:
 
 def q_factorial(k: int, i: int, n: int) -> LaurentPoly:
     """The quantum factorial [k]_i! = [k]_i [k-1]_i ... [1]_i."""
+    if k < 0:
+        raise ValueError("quantum factorials need k >= 0")
+    generator_scale(i, n)           # refuses a bad colour even for k < 2
     out = ONE
     for j in range(2, k + 1):
         out = out * q_integer(j, i, n)

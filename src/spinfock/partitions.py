@@ -165,6 +165,12 @@ class LadderDecomposition(namedtuple("LadderDecomposition",
 
     __slots__ = ()
 
+    def monomial(self) -> str:
+        """The ladder monomial's word, outermost ladder first, as in
+        f_1 f_0 f_1^(2) f_0 (A(partition) is this word applied to |0>)."""
+        return " ".join(f"f_{res}" + (f"^({cnt})" if cnt > 1 else "")
+                        for res, cnt in reversed(self.steps))
+
 
 def ladders(h: int, lam) -> LadderDecomposition:
     """Peel a DP_h partition into its ladders."""

@@ -135,6 +135,14 @@ class TestQuantumIntegers:
         assert q_factorial(3, 1, 1) == two * three
         assert q_factorial(0, 1, 1) == ONE
 
+    @pytest.mark.parametrize("k, i, message", [
+        (-3, 1, "k >= 0"), (1, 9, "color 9 out of range")])
+    def test_factorial_refuses_what_integers_refuse(self, k, i, message):
+        # as q_integer(-1, 1, 1) and q_integer(1, 9, 1) do; k <= 1 builds
+        # no [j]_i, so the product's loop alone checks nothing
+        with pytest.raises(ValueError, match=message):
+            q_factorial(k, i, 1)
+
 
 class TestExactDiv:
     def test_simple(self):
@@ -293,12 +301,28 @@ class TestPacked:
     def test_integer_divisibility_is_not_enough(self):
         # with t = 2^(B-2), t + 2q at q = 2^B is 9t = 3 * (2^B - t), yet
         # t + 2q = 2(q - t) + 3t is no multiple of q - t: the quotient 3
-        # fails the digit check, and exact_div finds the remainder
+        # fails the digit check and is refused; at 2B the remainder shows
         t = 1 << (B - 2)
-        c, d = pack(poly({0: t, 1: 2}), B), pack(poly({0: -t, 1: 1}), B)
-        assert c[1] % d[1] == 0
+        c, d = poly({0: t, 1: 2}), poly({0: -t, 1: 1})
+        assert pack(c, B)[1] % pack(d, B)[1] == 0
+        with pytest.raises(CoefficientBoundError):
+            exact_quotient(pack(c, B), pack(d, B), B)
         with pytest.raises(ExactDivisionError):
-            exact_quotient(c, d, B)
+            exact_quotient(pack(c, 2 * B), pack(d, 2 * B), 2 * B)
+
+    def test_unproven_quotient_is_refused_then_widened(self):
+        # c = Q d is readable at B (its l1 norm is 3 * 2^29 < 2^(B-1)), but
+        # max|Q| * ||d||_1 = 9 * 2^28 is not, so the digits cannot prove
+        # d Q = c: the quotient is refused like any unreadable value, and
+        # at twice the width it is exact
+        d = q_integer(3, 1, 1)
+        Q = poly({0: 3 << 28, 2: -(3 << 28)})
+        c = Q * d
+        assert pack(c, B)[2] < HALF
+        with pytest.raises(CoefficientBoundError, match="row x"):
+            exact_quotient(pack(c, B), pack(d, B), B, "x")
+        assert exact_quotient(pack(c, 2 * B), pack(d, 2 * B), 2 * B) == pack(
+            Q, 2 * B)
 
     def test_exact_quotient_refuses_at_the_bound(self):
         fact = pack(q_factorial(2, 1, 1), B)

@@ -150,6 +150,26 @@ class TestBlockTheorem:
         assert found == defect_zero             # the empty label included
 
 
+class TestBasicSpinRow:
+    """Wales's basic spin theorem (J. Algebra 61, 1979): modulo an odd
+    prime p the basic spin representation of the double cover of S_m, of
+    degree 2^floor((m-1)/2), has one composition factor up to association,
+    the basic modular spin module, of degree 2^floor((m-1-k)/2) with k = 1
+    when p divides m and k = 0 otherwise.  So the degree halves exactly when
+    p | m and m is odd.  In the reduced matrix, whose columns carry no
+    common power of two, the row of the basic spin character <m> then has
+    exactly one nonzero entry: 2 when p | m and m is odd, and 1 otherwise."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_basic_spin_row_has_one_entry(self, p):
+        solver = CanonicalBasis(p)
+        for m in range(1, 25):
+            R = modular.ReducedMatrix.of(solver.matrix(m))
+            row = [R.entry((m,), mu) for mu in R.labels]
+            want = 2 if m % p == 0 and m % 2 else 1
+            assert [v for v in row if v] == [want], (p, m, row)
+
+
 class TestBasicModuleOracle:
     """At q = 1 the basic module is the subring Q[p_j : j odd, p does not
     divide j] of the span of Schur's P-functions.  classical_image sends a
