@@ -20,7 +20,7 @@ from operator import ge
 from .laurent import (CoefficientBoundError, LaurentPoly, ONE, add_scaled,
                       freeze, pack, packed_terms, symmetrize_tail, unpack)
 from . import laurent
-from .fock import UNIT, FockVector, PackedVector, _act, _f_divided
+from .fock import UNIT, FockVector, _act, _f_divided
 from . import partitions as pt
 from .partitions import json_block
 
@@ -107,7 +107,7 @@ class BasisMatrix(namedtuple("BasisMatrix", "h m labels columns")):
     def to_json(self) -> dict:
         columns = []
         for mu in self.labels:
-            terms = self.columns[mu].sorted_terms()     # bottom row first
+            terms = self.columns[mu].terms()    # bottom row first
             columns.append({"label": list(mu), "bottom": list(terms[0][0]),
                             "entries": [{"row": list(lam), "poly": p.to_json()}
                                         for lam, p in terms]})
@@ -174,7 +174,7 @@ class CanonicalBasis:
         and the tables of stored labels and entries (laurent.freeze)."""
         self._bits = bits
         self._keys, self._values = {}, {}
-        vacuum = PackedVector({(): UNIT}, bits)
+        vacuum = FockVector.packed({(): UNIT}, bits)
         self._matrices = {0: BasisMatrix(self.h, 0, ((),), {(): vacuum})}
 
     def column(self, mu) -> FockVector:
@@ -243,7 +243,8 @@ class CanonicalBasis:
                     gamma = symmetrize_tail(unpack(cells[s], b, s))  # nonzero
                     add_scaled(cells, [(pack(-gamma, b), zip(
                         done[s].rows, done[s].entries))], b)
-            vec = PackedVector(freeze(cells, b, self._keys, self._values), b)
+            vec = FockVector.packed(freeze(cells, b, self._keys, self._values),
+                                    b)
             self._validate_column(mu, vec, m)
             block.append(mu)
             done[mu] = vec

@@ -1,11 +1,11 @@
 """The q-deformed Fock space: wedge words, straightening, generator actions.
 
-A FockVector maps DP_h labels to LaurentPoly coefficients.  apply_f,
-apply_e, apply_t and apply_f_divided take DP_h labels only (ValueError from
-partitions.check_dp_h otherwise) and stay exact for coefficients and
-divided powers of any size; an inexact divided power raises
-ExactDivisionError.  straighten normal-orders any wedge word and raises
-UncoveredDisorderError where no rule applies.
+A FockVector maps DP_h labels to LaurentPoly coefficients, held packed
+and decoded on demand.  apply_f, apply_e, apply_t and apply_f_divided take
+DP_h labels only (ValueError from partitions.check_dp_h otherwise) and stay
+exact for coefficients and divided powers of any size; an inexact divided
+power raises ExactDivisionError.  straighten normal-orders any wedge word
+and raises UncoveredDisorderError where no rule applies.
 """
 
 from __future__ import annotations
@@ -36,102 +36,64 @@ class MixedWeightError(ValueError):
     """A vector whose labels carry different residue contents has no weight."""
 
 
-class FockVector:
-    """Finitely supported map {DP_h partition: LaurentPoly}."""
+UNIT = (0, 1, 1)        # the packed coefficient 1
 
-    __slots__ = ("_terms",)
+
+class FockVector:
+    """Finitely supported map {DP_h partition: LaurentPoly}, held packed:
+    `rows` in decreasing lex and their normalized (e0, x, n) `entries` at
+    digit width `bits` (laurent.pack, laurent.freeze), decoded on demand.
+
+    FockVector(terms) takes LaurentPoly or int coefficients (an int is a
+    constant; anything else raises TypeError), drops zeros, keeps labels
+    as written, and packs at the narrowest width DIGIT_BITS * 2^k under
+    which every coefficient reads back (exact l1 norm < 2^(b-1)).
+    """
+
+    __slots__ = ("rows", "entries", "bits")
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for lam, poly in terms.items():
-                if poly:
-                    t[tuple(lam)] = poly
-        self._terms = t
+        polys = {}
+        for lam, c in (terms or {}).items():
+            if isinstance(c, int):
+                c = LaurentPoly({0: c})
+            elif not isinstance(c, LaurentPoly):
+                raise TypeError(f"coefficient of {lam} must be a LaurentPoly "
+                                f"or an int, not {type(c).__name__}")
+            if c:
+                polys[tuple(lam)] = c
+        norm = max((sum(map(abs, c._c.values())) for c in polys.values()),
+                   default=0)
+        b = laurent.DIGIT_BITS
+        while norm >= 1 << (b - 1):
+            b *= 2
+        v = self.packed({lam: pack(c, b) for lam, c in polys.items()}, b)
+        self.rows, self.entries, self.bits = v.rows, v.entries, b
+
+    @classmethod
+    def packed(cls, entries, bits) -> "FockVector":
+        """The vector of {label: normalized (e0, x, n)} at digit width bits,
+        its rows sorted once."""
+        out = cls.__new__(cls)
+        out.rows = tuple(sorted(entries, reverse=True))
+        out.entries = tuple(map(entries.__getitem__, out.rows))
+        out.bits = bits
+        return out
 
     @classmethod
     def basis(cls, lam) -> "FockVector":
         """The vector |lam>; the label is kept as written, unchecked."""
-        return cls({tuple(lam): ONE})
+        return cls.packed({tuple(lam): UNIT}, laurent.DIGIT_BITS)
 
-    def terms(self):
-        return self._terms.items()
-
-    def sorted_terms(self):
+    def terms(self) -> list:
         """(label, coefficient) pairs in decreasing lex order of labels."""
-        t = self._terms
-        return [(lam, t[lam]) for lam in sorted(t, reverse=True)]
+        b = self.bits
+        return [(lam, unpack(c, b, lam))
+                for lam, c in zip(self.rows, self.entries)]
 
     def least_exponents(self):
         """(label, least exponent of its coefficient) pairs."""
-        return [(lam, min(c._c)) for lam, c in self._terms.items()]
-
-    def coefficient(self, lam) -> LaurentPoly:
-        return self._terms.get(tuple(lam), ZERO)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self._terms == other._terms
-
-    def __add__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        t = dict(self._terms)
-        for lam, poly in other._terms.items():
-            _accumulate(t, lam, poly)
-        out = FockVector.__new__(FockVector)
-        out._terms = t
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self + other.scaled(-ONE)
-
-    def __neg__(self):
-        return self.scaled(-ONE)
-
-    def scaled(self, poly) -> "FockVector":
-        if not poly:
-            return FockVector()
-        out = FockVector.__new__(FockVector)
-        out._terms = {lam: c * poly for lam, c in self._terms.items()}
-        return out
-
-    def at_one(self) -> dict:
-        """Specialize q = 1; returns {label: nonzero int}."""
-        out = {}
-        for lam, poly in self._terms.items():
-            v = poly.at_one()
-            if v:
-                out[lam] = v
-        return out
-
-    def __repr__(self):
-        body = " + ".join(f"({poly})|{','.join(map(str, lam))}>"
-                          for lam, poly in self.sorted_terms())
-        return body or "0"
-
-
-class PackedVector(FockVector):
-    """A FockVector kept as a solver's column: `rows` in decreasing lex and
-    their normalized (e0, x, n) `entries` at digit width `bits`, sorted
-    once from the {label: entry} map it is made from."""
-
-    __slots__ = ("rows", "entries", "bits")
-
-    def __init__(self, packed, bits):
-        self.rows = tuple(sorted(packed, reverse=True))
-        self.entries = tuple(map(packed.__getitem__, self.rows))
-        self.bits = bits
-
-    @property
-    def _terms(self):
-        b = self.bits
-        return {lam: unpack(c, b, lam)
-                for lam, c in zip(self.rows, self.entries)}
+        return [(lam, c[0]) for lam, c in zip(self.rows, self.entries)]
 
     def coefficient(self, lam) -> LaurentPoly:
         lam, rows = tuple(lam), self.rows
@@ -140,8 +102,44 @@ class PackedVector(FockVector):
             return unpack(self.entries[k], self.bits, lam)
         return ZERO
 
-    def least_exponents(self):
-        return [(lam, c[0]) for lam, c in zip(self.rows, self.entries)]
+    def __len__(self):
+        return len(self.rows)
+
+    def __eq__(self, other):
+        """Exact equality of the polynomials, at any two widths.  At one
+        width, readable normalized entries are equal iff their (e0, x) are;
+        otherwise the decoded terms are compared (so an unreadable entry
+        raises CoefficientBoundError)."""
+        if not isinstance(other, FockVector) or self.rows != other.rows:
+            return False
+        b, pairs = self.bits, list(zip(self.entries, other.entries))
+        half = 1 << (b - 1)
+        if b == other.bits and all(c[2] < half > d[2] for c, d in pairs):
+            return all(c[:2] == d[:2] for c, d in pairs)
+        return self.terms() == other.terms()
+
+    def __add__(self, other):
+        if not isinstance(other, FockVector):
+            return NotImplemented
+        return self._plus(other.terms())
+
+    def __sub__(self, other):
+        if not isinstance(other, FockVector):
+            return NotImplemented
+        return self._plus((lam, -poly) for lam, poly in other.terms())
+
+    def _plus(self, terms):
+        """self + the (label, LaurentPoly) pairs of terms, decoded once."""
+        t = dict(self.terms())
+        for lam, poly in terms:
+            _accumulate(t, lam, poly)
+        return FockVector(t)
+
+    def __neg__(self):
+        return self.scaled(-ONE)
+
+    def scaled(self, poly) -> "FockVector":
+        return FockVector({lam: c * poly for lam, c in self.terms()})
 
     def at_one(self) -> dict:
         """{label: nonzero c(1)}.  x = sum_k c_k 2^(bk) is c(1) modulo the
@@ -159,8 +157,10 @@ class PackedVector(FockVector):
                 out[lam] = v - odd if v >= half else v
         return out
 
-    def __len__(self):
-        return len(self.rows)
+    def __repr__(self):
+        body = " + ".join(f"({poly})|{','.join(map(str, lam))}>"
+                          for lam, poly in self.terms())
+        return body or "0"
 
 
 def straighten(word, h, rng=None):
@@ -202,9 +202,6 @@ def normal_order(word, h) -> FockVector:
     key, swaps = res
     sign = -1 if swaps % 2 else 1
     return FockVector({key: LaurentPoly({2 * swaps: sign})})
-
-
-UNIT = (0, 1, 1)        # the packed coefficient 1
 
 
 def _add_term(out, res, c, shift, double, b):
@@ -322,20 +319,20 @@ def _f_divided(h, i, n, k, terms, b) -> dict:
 
 
 def _act(h, v, image) -> FockVector:
-    """The FockVector of image(terms of v packed at width b, b), every
-    label of v checked to be a DP_h partition first.  b starts at
-    laurent.DIGIT_BITS and doubles on CoefficientBoundError, so no input
-    is refused.
+    """The FockVector of image(entries of v at width b, b), every label of
+    v checked to be a DP_h partition first.  b starts at v's own width and
+    doubles on CoefficientBoundError, v's terms re-packed at each wider b,
+    so no input is refused.
     """
-    terms = {pt.check_dp_h(h, lam): c for lam, c in v.terms()}
-    b = laurent.DIGIT_BITS
+    for lam in v.rows:
+        pt.check_dp_h(h, lam)
+    terms, b = dict(zip(v.rows, v.entries)), v.bits
     while True:
         try:
-            cells = image({lam: pack(c, b) for lam, c in terms.items()}, b)
-            return FockVector({key: unpack(cell, b, key)
-                               for key, cell in cells.items()})
+            return FockVector.packed(freeze(image(terms, b), b), b)
         except CoefficientBoundError:
             b *= 2
+            terms = {lam: pack(c, b) for lam, c in v.terms()}
 
 
 def apply_f(h: int, i: int, v: FockVector) -> FockVector:
@@ -360,11 +357,11 @@ def apply_t(h: int, i: int, v: FockVector, inverse: bool = False) -> FockVector:
     n = pt.check_color(h, i)
     t_exp = _color_tables(h, i)[1]
     out = {}
-    for lam, c in v.terms():
+    for lam, (e0, x, m) in zip(v.rows, v.entries):
         pt.check_dp_h(h, lam)
         e = sum(t_exp[j % h] for j in lam) + (1 if i == n else 0)
-        out[lam] = c.shifted(-e if inverse else e)
-    return FockVector(out)
+        out[lam] = (e0 - e if inverse else e0 + e, x, m)
+    return FockVector.packed(out, v.bits)
 
 
 def apply_f_divided(h: int, i: int, k: int, v: FockVector) -> FockVector:
@@ -383,7 +380,7 @@ def weight(h: int, v: FockVector) -> tuple:
     """Common residue content of the labels of a nonzero vector."""
     if not v:
         raise ValueError("the zero vector has no weight")
-    contents = {pt.residue_content(h, lam) for lam, _ in v.terms()}
+    contents = {pt.residue_content(h, lam) for lam in v.rows}
     if len(contents) > 1:
         raise MixedWeightError(f"labels carry {len(contents)} distinct contents")
     return contents.pop()

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from spinfock import canonical, laurent
 from spinfock.laurent import CoefficientBoundError, LaurentPoly, ONE, pack
-from spinfock.fock import FockVector, PackedVector
+from spinfock.fock import FockVector
 from spinfock import partitions as pt
 from spinfock import crystal, modular
 from spinfock import fixtures as fx
@@ -319,7 +319,7 @@ class TestPackedBound:
     def test_columns_stay_packed(self):
         M = canonical_basis(3, 12)
         col = M.columns[M.labels[-1]]
-        assert isinstance(col, PackedVector) and isinstance(col, FockVector)
+        assert isinstance(col, FockVector)
         assert len(col) == len(dict(col.terms())) > 1
         for lam, e0 in col.least_exponents():
             assert e0 == min(col.coefficient(lam).coeffs()), lam
@@ -380,7 +380,7 @@ class TestColumnLayout:
     @example(8, LaurentPoly({-1: -64, 2: -63}))
     def test_at_one_of_any_entry_below_the_bound(self, b, p):
         assume(sum(map(abs, p.coeffs().values())) < 1 << (b - 1))
-        got = PackedVector({(2,): pack(p, b)}, b).at_one()
+        got = FockVector.packed({(2,): pack(p, b)}, b).at_one()
         assert got == ({(2,): p.at_one()} if p.at_one() else {})
 
     @pytest.mark.parametrize("b", [8, 32, 64])
@@ -388,7 +388,7 @@ class TestColumnLayout:
         half = 1 << (b - 1)
         with pytest.raises(CoefficientBoundError) as want:
             laurent.packed_terms((-2, 5, half), b, ())
-        col = PackedVector({(1,): (0, 1, 1), (): (-2, 5, half)}, b)
+        col = FockVector.packed({(1,): (0, 1, 1), (): (-2, 5, half)}, b)
         with pytest.raises(CoefficientBoundError) as got:
             col.at_one()
         assert str(got.value) == str(want.value)
@@ -455,12 +455,12 @@ class TestSerialization:
         # at 32 and at 64 bits side by side
         big = 1 << 62
         columns = {
-            (5,): PackedVector({
+            (5,): FockVector.packed({
                 (5,): pack(ONE, 32),
                 (4, 1): pack(LaurentPoly({-3: 7, 0: -2, 4: 1}), 32),
                 (2, 2, 1): pack(LaurentPoly({1: -(2 ** 30)}), 32),
             }, 32),
-            (4, 1): PackedVector({
+            (4, 1): FockVector.packed({
                 (4, 1): pack(LaurentPoly({-7: big - 1, -4: 1, 2: 3 - big}),
                              64),
                 (3, 2): pack(LaurentPoly({-1: -big, 3: big - 5}), 64),
@@ -473,10 +473,27 @@ class TestSerialization:
             spec = json.dumps(M.to_json(), indent=2) + "\n"
             assert "".join(M.json_chunks()) == spec
 
+    def test_writer_reads_public_vectors(self):
+        # columns built through FockVector(...) are held packed like the
+        # solver's, so every reader of a matrix takes them
+        M = BasisMatrix(3, 1, ((1,),), {(1,): FockVector.basis((1,))})
+        assert M.bottom_label((1,)) == (1,)
+        solved = canonical_basis(3, 10)
+        rebuilt = BasisMatrix(3, 10, solved.labels, {
+            mu: FockVector(dict(solved.column(mu).terms()))
+            for mu in solved.labels})
+        assert rebuilt == solved
+        for M in (M, rebuilt):
+            assert [M.bottom_label(mu) for mu in M.labels] == [
+                tuple(col["bottom"]) for col in M.to_json()["columns"]]
+            spec = json.dumps(M.to_json(), indent=2) + "\n"
+            assert "".join(M.json_chunks()) == spec
+        assert M.bottom_label((3, 3, 3, 1)) == (10,)
+
     @pytest.mark.parametrize("b", [8, 32, 64])
     def test_writer_refuses_at_the_bound(self, b):
         def matrix(n):
-            col = PackedVector({(1,): (0, 1, 1), (): (-2, 5, n)}, b)
+            col = FockVector.packed({(1,): (0, 1, 1), (): (-2, 5, n)}, b)
             return BasisMatrix(3, 1, ((1,),), {(1,): col})
 
         half = 1 << (b - 1)

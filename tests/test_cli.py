@@ -400,11 +400,13 @@ class TestClosedPipe:
 
     @pytest.mark.parametrize("argv", [
         ("canonical", "--n", "1", "--m", "25", "--format", "table"),
-        ("decomp", "--p", "3", "--m", "25", "--format", "csv"),
+        ("decomp", "--p", "11", "--m", "30", "--format", "csv"),
         ("crystal", "--n", "2", "--max-degree", "36", "--format", "dot"),
     ], ids=["table", "csv", "dot"])
     def test_text_formats_quiet_exit_141(self, argv):
-        # streamed lines, or DOT as one piece, closed like `| head -2`
+        # streamed lines, or DOT as one piece, closed like `| head -2`; each
+        # output is well above a 64 KiB pipe buffer (the csv about 150 KB),
+        # so the close always lands mid-write
         self.check_closed_after(2, *argv)
 
     @staticmethod

@@ -5,7 +5,7 @@ import pytest
 
 from spinfock import laurent
 from spinfock.laurent import (DIGIT_BITS as B, CoefficientBoundError,
-                              LaurentPoly, ONE, q_factorial, unpack)
+                              LaurentPoly, ONE, pack, q_factorial, unpack)
 from spinfock.fock import (
     FockVector,
     UncoveredDisorderError,
@@ -20,6 +20,7 @@ from spinfock.fock import (
     norm_squared,
 )
 from spinfock import fock, verify
+from spinfock.modular import character_image
 from spinfock import partitions as pt
 from spinfock import fixtures as fx
 
@@ -477,3 +478,81 @@ class TestVectorApi:
     def test_at_one(self):
         v = vec({(6, 5, 2): {0: 1, 4: -1}, (5, 5, 2, 1): {0: 1}})
         assert v.at_one() == {(5, 5, 2, 1): 1}
+
+    def test_coefficients_are_integral(self):
+        # an int is a constant; any other coefficient is refused, naming
+        # the label and the type
+        assert FockVector({(1,): 3}) == FockVector.basis((1,)).scaled(3)
+        assert repr(FockVector({(2,): -1, (1,): 0})) == "(-1)|2>"
+        with pytest.raises(TypeError, match=r"^coefficient of \(1,\) .* "
+                                            r"not float$"):
+            FockVector({(1,): 1.5})
+        with pytest.raises(TypeError, match="not str"):
+            FockVector({(): "1"})
+
+    def test_int_coefficients_act(self):
+        two, vacuum = FockVector({(): 2}), FockVector.basis(())
+        assert apply_f(3, 1, two) == apply_f(3, 1, vacuum).scaled(2)
+        assert character_image(3, two) == {
+            lam: 2 * v for lam, v in character_image(3, vacuum).items()}
+
+    def test_narrowest_readable_width(self):
+        # the exact l1 norm must stay below 2^(b-1)
+        quarter = LaurentPoly({0: 1 << (B - 2), 3: -(1 << (B - 2))})
+        assert FockVector({(1,): (1 << (B - 1)) - 1}).bits == B
+        assert FockVector({(1,): quarter, (2,): 1}).bits == 2 * B
+        assert FockVector({(1,): 1 << (2 * B - 1)}).bits == 4 * B
+
+
+def packed_at(polys, b):
+    """FockVector.packed of {label: LaurentPoly} at digit width b."""
+    return FockVector.packed({lam: pack(p, b) for lam, p in polys.items()}, b)
+
+
+class TestOneVectorType:
+    """Every FockVector is packed: rows, entries and a digit width."""
+
+    POLYS = {(3, 1): LaurentPoly({-2: 5, 3: -7}), (2,): ONE,
+             (1,): LaurentPoly({4: 1 << 20})}
+
+    def test_widths_compare_by_polynomial(self):
+        wide = packed_at(self.POLYS, 2 * B)
+        narrow = FockVector(self.POLYS)
+        assert (narrow.bits, wide.bits) == (B, 2 * B)
+        assert wide == narrow and narrow == wide
+        assert narrow.terms() == wide.terms() == sorted(
+            self.POLYS.items(), reverse=True)
+
+    @pytest.mark.parametrize("lam, poly", [
+        ((3, 1), LaurentPoly({-2: 5, 3: -6})),      # one coefficient
+        ((2,), LaurentPoly({1: 1})),                # one exponent
+        ((2, 1), ONE),                              # one more row
+    ])
+    def test_one_coefficient_apart_is_unequal(self, lam, poly):
+        other = FockVector({**self.POLYS, lam: poly})
+        for v in (FockVector(self.POLYS),           # one width, then two
+                  packed_at(self.POLYS, 2 * B)):
+            assert other != v and v != other
+
+    def test_equality_refuses_an_entry_at_the_bound(self):
+        # two identical (e0, x) are not read as equal once n reaches
+        # 2^(b-1): the digits might not be the coefficients
+        half = 1 << (B - 1)
+        at_bound = FockVector.packed({(1,): (0, 5, half)}, B)
+        for other in (FockVector.packed({(1,): (0, 5, half)}, B),
+                      FockVector.packed({(1,): (0, 5, 1)}, B),
+                      FockVector({(1,): 5})):
+            with pytest.raises(CoefficientBoundError):
+                at_bound == other
+            with pytest.raises(CoefficientBoundError):
+                other == at_bound
+
+    def test_reads_from_the_packed_entries(self):
+        v = FockVector(self.POLYS)
+        assert v.rows == ((3, 1), (2,), (1,))
+        assert v.least_exponents() == [((3, 1), -2), ((2,), 0), ((1,), 4)]
+        assert v.coefficient([3, 1]) == self.POLYS[(3, 1)]
+        assert v.coefficient((4,)) == laurent.ZERO
+        assert v.at_one() == {(3, 1): -2, (2,): 1, (1,): 1 << 20}
+        assert apply_t(5, 1, apply_t(5, 1, v), inverse=True).entries == (
+            v.entries)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from spinfock import modular
 from spinfock import verify
 from spinfock.canonical import CanonicalBasis, canonical_basis
 from spinfock.fock import FockVector, apply_f, apply_e
+from spinfock.laurent import ONE
 from conftest import oracle_hbar_core, oracle_schur_p
 
 
@@ -168,6 +170,80 @@ class TestBasicSpinRow:
             row = [R.entry((m,), mu) for mu in R.labels]
             want = 2 if m % p == 0 and m % 2 else 1
             assert [v for v in row if v] == [want], (p, m, row)
+
+
+def weight_one_blocks(p, max_m):
+    """(M, R, rows, columns) for each weight-1 block of degree <= max_m:
+    M and R the canonical and reduced matrices of its degree, rows its
+    strict labels and columns its canonical labels.  A block's weight is
+    (m - |core|) / p, its p-bar core from conftest's oracle."""
+    solver = CanonicalBasis(p)
+    for m in range(max_m + 1):
+        M = solver.matrix(m)
+        R = modular.ReducedMatrix.of(M)
+        rows, cols = {}, {}
+        for lam in R.row_labels():
+            core = oracle_hbar_core(p, lam)
+            if sum(core) == m - p:
+                rows.setdefault(core, []).append(lam)
+        for mu in M.labels:
+            cols.setdefault(oracle_hbar_core(p, mu), []).append(mu)
+        for core, block in rows.items():
+            yield M, R, block, cols.get(core, [])
+
+
+WEIGHT_ONE_RANGES = pytest.mark.parametrize(
+    "p, max_m, blocks", [(3, 22, 7), (5, 24, 24), (7, 28, 68)])
+
+
+class TestWeightOneBlocks:
+    """Muller's Brauer trees of the weight-1 spin blocks (J. Algebra 266,
+    2003).  A spin p-block of weight 1, its p-bar core of size m - p, has
+    (p+1)/2 spin characters up to association, one per strict label, and
+    (p-1)/2 modular spin characters; its Brauer tree is a line.  Read at
+    the reduced matrix, each column, a projective indecomposable, is an
+    edge: it has exactly two nonzero entries, on the two characters it
+    joins, equal to {1, 1}, or {1, 2} where the association of a pair of
+    characters doubles one end.  The columns then form one path: the block
+    is connected, every row meets one or two columns, and rows = columns
+    + 1.  Which row carries a 2 is not pinned here."""
+
+    @WEIGHT_ONE_RANGES
+    def test_columns_form_one_path(self, p, max_m, blocks):
+        found = 0
+        for _, R, block, labels in weight_one_blocks(p, max_m):
+            cols = [R.columns[mu] for mu in labels]
+            assert len(block) == (p + 1) // 2, (p, block)
+            assert len(cols) == (p - 1) // 2, (p, block, cols)
+            for col in cols:
+                assert sorted(col.values()) in ([1, 1], [1, 2]), col
+                assert col.keys() <= set(block), (block, col)
+            degree = Counter(lam for col in cols for lam in col)
+            assert sorted(degree) == sorted(block), (block, cols)
+            assert set(degree.values()) <= {1, 2}, (block, cols)
+            reached = {block[0]}                        # connected
+            for _ in cols:
+                for col in cols:
+                    if reached & col.keys():
+                        reached |= col.keys()
+            assert reached == set(block), (block, cols)
+            found += 1
+        assert found == blocks
+
+    @WEIGHT_ONE_RANGES
+    def test_canonical_columns_have_two_entries(self, p, max_m, blocks):
+        # a regression fact of this engine, not a theorem: each weight-1
+        # column G(mu) is |mu> plus one strict label at q or q^2
+        # (57 at q and 202 at q^2 over these ranges)
+        seen = Counter()
+        for M, _, block, labels in weight_one_blocks(p, max_m):
+            for mu in labels:
+                (lam, c), = [t for t in M.column(mu).terms() if t[0] != mu]
+                assert M.entry(mu, mu) == ONE and len(M.column(mu)) == 2
+                assert pt.is_strict(mu) and pt.is_strict(lam), (mu, lam)
+                seen[str(c)] += 1
+        assert seen.keys() <= {"q", "q^2"}
+        assert sum(seen.values()) == blocks * (p - 1) // 2
 
 
 class TestBasicModuleOracle:
