@@ -67,17 +67,19 @@ class FockVector:
         b = laurent.DIGIT_BITS
         while norm >= 1 << (b - 1):
             b *= 2
-        v = self.packed({lam: pack(c, b) for lam, c in polys.items()}, b)
-        self.rows, self.entries, self.bits = v.rows, v.entries, b
+        self._fill({lam: pack(c, b) for lam, c in polys.items()}, b)
+
+    def _fill(self, entries, bits):
+        self.rows = tuple(sorted(entries, reverse=True))
+        self.entries = tuple(map(entries.__getitem__, self.rows))
+        self.bits = bits
 
     @classmethod
     def packed(cls, entries, bits) -> "FockVector":
         """The vector of {label: normalized (e0, x, n)} at digit width bits,
         its rows sorted once."""
         out = cls.__new__(cls)
-        out.rows = tuple(sorted(entries, reverse=True))
-        out.entries = tuple(map(entries.__getitem__, out.rows))
-        out.bits = bits
+        out._fill(entries, bits)
         return out
 
     @classmethod
@@ -106,17 +108,10 @@ class FockVector:
         return len(self.rows)
 
     def __eq__(self, other):
-        """Exact equality of the polynomials, at any two widths.  At one
-        width, readable normalized entries are equal iff their (e0, x) are;
-        otherwise the decoded terms are compared (so an unreadable entry
-        raises CoefficientBoundError)."""
-        if not isinstance(other, FockVector) or self.rows != other.rows:
-            return False
-        b, pairs = self.bits, list(zip(self.entries, other.entries))
-        half = 1 << (b - 1)
-        if b == other.bits and all(c[2] < half > d[2] for c, d in pairs):
-            return all(c[:2] == d[:2] for c, d in pairs)
-        return self.terms() == other.terms()
+        """Exact equality of the decoded polynomials, at any two widths (an
+        unreadable entry raises CoefficientBoundError)."""
+        return (isinstance(other, FockVector) and self.rows == other.rows
+                and self.terms() == other.terms())
 
     def __add__(self, other):
         if not isinstance(other, FockVector):
