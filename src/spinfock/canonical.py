@@ -25,8 +25,16 @@ from . import partitions as pt
 from .partitions import json_block
 
 
-class CanonicalBasisError(RuntimeError):
+class CanonicalBasisError(pt.InvariantError):
     """A computed column violated triangularity, integrality or block purity."""
+
+
+def _ladder_monomial(h, steps, terms, b) -> dict:
+    """Each f_res^(cnt) of steps in turn on packed {label: cell} at width b."""
+    n = pt.rank(h)
+    for res, cnt in steps:
+        terms = _f_divided(h, res, n, cnt, terms, b)
+    return terms
 
 
 def a_vector(h: int, mu) -> FockVector:
@@ -34,14 +42,8 @@ def a_vector(h: int, mu) -> FockVector:
     dec = pt.ladders(h, mu)                 # the DP_h check of mu
     if not pt.in_dpr_h(h, dec.partition):
         raise ValueError(f"{dec.partition} is not {h}-regular")
-    n = pt.rank(h)
-
-    def monomial(terms, b):
-        for res, cnt in dec.steps:
-            terms = _f_divided(h, res, n, cnt, terms, b)
-        return terms
-
-    return _act(h, FockVector.basis(()), monomial)
+    return _act(h, FockVector.basis(()),
+                functools.partial(_ladder_monomial, h, dec.steps))
 
 
 _P6, _P10 = "\n" + " " * 6, "\n" + " " * 10
@@ -189,7 +191,7 @@ class CanonicalBasis:
             try:
                 for d in range(len(self._matrices), m + 1):
                     self._matrices[d] = self._solve_degree(d)
-            except CoefficientBoundError:   # as fock._act: all again at 2b
+            except CoefficientBoundError:   # either route: all again at 2b
                 self._start(2 * self._bits)
         return self._matrices[m]
 
@@ -212,8 +214,8 @@ class CanonicalBasis:
         """
         b = self._bits
         if not self.fast:
-            return {lam: list(pack(c, b))
-                    for lam, c in a_vector(self.h, mu).terms()}
+            return {lam: list(c) for lam, c in _ladder_monomial(
+                self.h, pt.ladders(self.h, mu).steps, {(): UNIT}, b).items()}
         nu, res, cnt = pt.remove_outer_ladder(self.h, mu)
         cells = {}
         col = self._matrices[sum(nu)].columns[nu]

@@ -15,18 +15,11 @@ import os
 import sys
 
 from . import partitions as pt
-from . import crystal
-from . import modular
-from .canonical import CanonicalBasis, CanonicalBasisError
-from .fock import UncoveredDisorderError
-from .laurent import CoefficientBoundError, ExactDivisionError
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 CLOSED_PIPE = 141       # 128 + SIGPIPE, as a shell reports a piped-to head
-_INTERNAL_ERRORS = (CanonicalBasisError, CoefficientBoundError,
-                    ExactDivisionError, UncoveredDisorderError,
-                    pt.InvariantError)
+_INTERNAL_ERRORS = (pt.InvariantError, ArithmeticError)
 
 
 def _add_modulus_args(parser):
@@ -80,6 +73,7 @@ def _emit_json(obj):
 
 
 def cmd_crystal(args) -> int:
+    from . import crystal
     h = _modulus(args)
     graph = crystal.component(h, pt.parse_partition(args.start),
                               args.max_degree)
@@ -88,6 +82,7 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_canonical(args) -> int:
+    from .canonical import CanonicalBasis
     h = _modulus(args)
     # no name holds the solver, so its lower degrees are freed before writing
     M = CanonicalBasis(h, fast=not args.slow).matrix(args.m)
@@ -96,6 +91,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_decomp(args) -> int:
+    from . import modular
     p = _modulus(args)
     R = modular.reduced_matrix(p, args.m)
     if args.format == "json":

@@ -4,8 +4,8 @@ A FockVector maps DP_h labels to LaurentPoly coefficients, held packed
 and decoded on demand.  apply_f, apply_e, apply_t and apply_f_divided take
 DP_h labels only (ValueError from partitions.check_dp_h otherwise) and stay
 exact for coefficients and divided powers of any size; an inexact divided
-power raises ExactDivisionError.  straighten normal-orders any wedge word
-and raises UncoveredDisorderError where no rule applies.
+power raises ExactDivisionError.  straighten orders each word its two rules
+cover (all an action makes); any other raises UncoveredDisorderError.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from . import laurent
 from . import partitions as pt
 
 
-class UncoveredDisorderError(RuntimeError):
+class UncoveredDisorderError(pt.InvariantError):
     """A wedge word needed a commutation rule that is not available.
 
     The two straightening rules cover every word produced by generator
-    actions; hitting this means an internal invariant broke.
+    actions; inside an action, hitting this means an invariant broke.
     """
 
     def __init__(self, word):

@@ -14,7 +14,8 @@ from itertools import accumulate, zip_longest
 
 
 class InvariantError(RuntimeError):
-    """An internal combinatorial invariant broke; never caused by input."""
+    """A broken internal invariant, so a bug, but normal_order raises the
+    subclass fock.UncoveredDisorderError on a word straighten cannot order."""
 
 
 def check_h(h: int) -> int:

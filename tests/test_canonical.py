@@ -183,6 +183,24 @@ class TestFastSlow:
         for m in range(0, 23 if h == 3 else 21):
             assert fast.matrix(m) == slow.matrix(m)
 
+    def test_slow_route_widens_only_by_restarting(self, monkeypatch):
+        # the slow route applies the ladder monomial at the solver's width,
+        # so a bound it reaches restarts the solver as on the fast route:
+        # no action of its own (fock._act) widens, decodes and re-packs
+        def refuse(*args):
+            raise AssertionError("the solver entered fock._act")
+
+        monkeypatch.setattr(laurent, "DIGIT_BITS", 4)
+        monkeypatch.setattr(canonical, "_act", refuse)
+        fast = CanonicalBasis(3)
+        slow = CanonicalBasis(3, fast=False)
+        for m in range(15):
+            assert slow.matrix(m) == fast.matrix(m), m
+        for solver in (fast, slow):
+            assert solver._bits == 8
+            assert {col.bits for M in solver._matrices.values()
+                    for col in M.columns.values()} == {8}
+
 
 class TestDividedPowerMemo:
     @pytest.mark.parametrize("h, top", [(3, 20), (5, 16)])

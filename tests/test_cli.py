@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from spinfock import crystal, modular
+from spinfock import cli, crystal, modular
+from spinfock import partitions as pt
 from spinfock.canonical import CanonicalBasis
 from spinfock.cli import _emit_json, _write, main
 from spinfock.partitions import json_document
 from spinfock.verify import run_suite
+from test_source import exception_classes
 
 
 def run(capsys, *argv):
@@ -375,6 +377,40 @@ class TestInternalErrors:
         assert err.startswith("internal error at h=3 m=10: InvariantError: "
                               "negative two-power exponent ")
         assert "p=3" in err and err.count("\n") == 1
+
+    def test_two_families_are_internal(self):
+        assert cli._INTERNAL_ERRORS == (pt.InvariantError, ArithmeticError)
+
+    def test_unlisted_arithmetic_error_exit_code_3(self, capsys, monkeypatch):
+        def fail(p, m):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(modular, "reduced_matrix", fail)
+        code, out, err = run(capsys, "decomp", "--p", "3", "--m", "5")
+        assert (code, out) == (3, "")
+        assert err == ("internal error at h=3 m=5: ZeroDivisionError: "
+                       "injected\n")
+
+    @pytest.mark.parametrize("cls", exception_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_each_package_error_exit_code(self, capsys, monkeypatch, cls):
+        # a ValueError is a usage error; every other class is a bug
+        args = {"CoefficientBoundError": (128, (4, 1), 8)}.get(
+            cls.__name__, ("injected",))
+        exc = cls(*args)
+
+        def fail(*_):
+            raise exc
+
+        monkeypatch.setattr(crystal, "component", fail)
+        code, out, err = run(capsys, "crystal", "--n", "1",
+                             "--max-degree", "3")
+        assert out == ""
+        if issubclass(cls, ValueError):
+            assert (code, err) == (2, f"error: {exc}\n")
+        else:
+            assert (code, err) == (3, f"internal error: {cls.__name__}: "
+                                      f"{exc}\n")
 
 
 class TestClosedPipe:

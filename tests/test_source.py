@@ -69,6 +69,52 @@ def test_cli_import_loads_no_unused_stdlib_module():
     assert not banned & added
 
 
+def exception_classes():
+    """Every exception class defined at the top level of a package module,
+    found by its source."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"spinfock.{path.stem}")
+        found += [obj for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.ClassDef)
+                  for obj in [getattr(module, node.name)]
+                  if issubclass(obj, BaseException)]
+    return found
+
+
+def test_every_exception_is_usage_or_internal():
+    # the CLI maps a ValueError to exit 2 and the two internal families to
+    # exit 3, so a class outside all three would escape as a traceback
+    from spinfock.partitions import InvariantError
+    classes = exception_classes()
+    assert {cls.__name__ for cls in classes} >= {
+        "InvariantError", "CanonicalBasisError", "UncoveredDisorderError",
+        "CoefficientBoundError", "ExactDivisionError", "MixedWeightError"}
+    assert [cls for cls in classes if not issubclass(
+        cls, (ValueError, InvariantError, ArithmeticError))] == []
+
+
+def test_cli_imports_only_partitions_at_module_level():
+    # each command imports the engine module it runs, and the internal
+    # errors are caught by family, so cli.py names no engine error class
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            imported += ([dots + node.module] if node.module else
+                         [dots + alias.name for alias in node.names])
+    assert {name for name in imported
+            if name.startswith((".", "spinfock"))} == {".partitions"}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert not named & {cls.__name__ for cls in exception_classes()
+                        if cls.__name__ != "InvariantError"}
+
+
 def test_cli_writes_stdout_in_one_place():
     # every stdout byte goes through cli._write; print is for stderr only
     tree = ast.parse((PACKAGE / "cli.py").read_text())
